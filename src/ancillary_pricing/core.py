@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -60,8 +62,8 @@ class SessionRecord:
     extra_features: Mapping[str, float | str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.price_offered <= 0:
-            raise ValueError(f"price_offered must be positive, got {self.price_offered}")
+        if not (math.isfinite(self.price_offered) and self.price_offered > 0):
+            raise ValueError(f"price_offered must be positive and finite, got {self.price_offered}")
         if self.days_to_departure < 0:
             raise ValueError("days_to_departure must be non-negative")
         if self.length_of_stay < 0:
@@ -140,8 +142,9 @@ class EncodingSchema:
         n += sum(len(f.levels) + 1 for f in self.categorical)
         return n
 
-    @property
+    @cached_property
     def schema_hash(self) -> str:
+        # Computed once per schema: encode() stamps it on every vector.
         payload = {
             "numeric": [[f.name, f.mean, f.std, f.optional] for f in self.numeric],
             "categorical": [[f.name, list(f.levels)] for f in self.categorical],

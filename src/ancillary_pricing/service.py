@@ -4,6 +4,10 @@ POST /v1/price takes a session record (JSON, label optional) and returns
 the loaded policy's quote; GET /healthz reports liveness. Requests are
 served against an immutable policy snapshot; swapping in a new model is a
 single reference replacement, so in-flight readers are never disrupted.
+
+Each connection is bounded: a request body may hold at most MAX_BODY_BYTES,
+and a socket that stays silent for CONNECTION_TIMEOUT_S seconds (idle
+between requests, or short of its promised body) is closed.
 """
 
 from __future__ import annotations
@@ -22,17 +26,53 @@ from .session_io import session_from_dict
 
 log = logging.getLogger(__name__)
 
+# A session body is ~300 bytes; anything far larger is refused unread.
+MAX_BODY_BYTES = 64 * 1024
+CONNECTION_TIMEOUT_S = 30.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = CONNECTION_TIMEOUT_S
 
-    def _reply(self, status: int, body: dict):
+    def _reply(self, status: int, body: dict, close: bool = False):
+        """Send status line, headers and body in one socket write.
+
+        Writing the body separately after the headers makes the second
+        small segment wait for the peer's delayed ACK (Nagle's algorithm),
+        about 40 ms per reply on a keep-alive connection.
+        """
         blob = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        self.wfile.write(blob)
+        if close:  # also sets close_connection
+            self.send_header("Connection", "close")
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(blob)
+            return
+        self._headers_buffer.append(b"\r\n" + blob)
+        self.flush_headers()
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or None after replying with an error.
+
+        An error reply closes the connection: the unread body would
+        otherwise be parsed as the next request.
+        """
+        text = self.headers.get("Content-Length", "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            self._reply(400, {"error": f"bad Content-Length: {text!r}"}, close=True)
+            return None
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            self._reply(413, {"error": f"body over {MAX_BODY_BYTES} bytes"}, close=True)
+            return None
+        try:
+            return self.rfile.read(length)
+        except TimeoutError:
+            self._reply(408, {"error": "timed out reading the request body"}, close=True)
+            return None
 
     def do_GET(self):
         if self.path == "/healthz":
@@ -41,12 +81,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": "not found"})
 
     def do_POST(self):
-        if self.path != "/v1/price":
-            self._reply(404, {"error": "not found"})
+        if self.path != "/v1/price":  # body left unread, so close
+            self._reply(404, {"error": "not found"}, close=True)
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length) if length > 0 else b""
+            raw = self._read_body()
+            if raw is None:
+                return
             try:
                 obj = json.loads(raw.decode("utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:

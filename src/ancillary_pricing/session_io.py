@@ -8,6 +8,7 @@ requests. Parsing is strict and every error carries its line number.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -31,8 +32,19 @@ _INT_FIELDS = ("days_to_departure", "departure_epoch", "length_of_stay",
                "group_size", "num_stops")
 
 
+def _is_finite(v: int | float) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def session_from_dict(obj: dict, line: int = 0) -> SessionRecord:
-    """Build a SessionRecord from a parsed JSON object, validating types."""
+    """Build a SessionRecord from a parsed JSON object, validating types.
+
+    Numbers must be finite: NaN, +-Infinity and integers too large for a
+    float are rejected with a ParseError.
+    """
     if not isinstance(obj, dict):
         raise ParseError(line, f"expected an object, got {type(obj).__name__}")
     for name in REQUIRED_FIELDS:
@@ -43,12 +55,16 @@ def session_from_dict(obj: dict, line: int = 0) -> SessionRecord:
         v = obj[name]
         if isinstance(v, bool) or not isinstance(v, int):
             raise ParseError(line, f"field {name!r} must be an integer, got {v!r}")
+        if not _is_finite(v):
+            raise ParseError(line, f"field {name!r} must be finite, got {v!r}")
         return v
 
     def as_float(name: str) -> float:
         v = obj[name]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(line, f"field {name!r} must be a number, got {v!r}")
+        if not _is_finite(v):
+            raise ParseError(line, f"field {name!r} must be finite, got {v!r}")
         return float(v)
 
     market = obj["market"]
@@ -66,6 +82,8 @@ def session_from_dict(obj: dict, line: int = 0) -> SessionRecord:
     for k, v in extra.items():
         if v is not None and not isinstance(v, (int, float, str)):
             raise ParseError(line, f"extra feature {k!r} must be a number or string")
+        if isinstance(v, (int, float)) and not _is_finite(v):
+            raise ParseError(line, f"extra feature {k!r} must be finite, got {v!r}")
 
     try:
         return SessionRecord(

@@ -122,6 +122,13 @@ def test_recommend_incomplete_session_is_data_error(workdir):
                 "--session", json.dumps({"session_id": "x"})]) == 2
 
 
+def test_recommend_non_finite_price_is_data_error(workdir):
+    doc = session_to_dict(export_sessions(default_market_spec(), 1, seed=42)[0])
+    doc["price_offered"] = float("nan")
+    assert cli(["recommend", "--ckpt", str(workdir / "gnb.ckpt.json"),
+                "--session", json.dumps(doc)]) == 2
+
+
 def test_corrupted_checkpoint_is_data_error(workdir, tmp_path):
     doc = json.loads((workdir / "gnb.ckpt.json").read_text())
     doc["params"]["log_prior0"] = -0.123456

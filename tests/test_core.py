@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +119,17 @@ class TestEncode:
         assert vec.schema_hash == schema.schema_hash
         assert len(vec.values) == schema.dim
 
+    def test_schema_hash_is_sha256_of_canonical_json(self, make_session):
+        sessions = [make_session(days_to_departure=1), make_session(days_to_departure=3)]
+        schema = fit_schema(sessions)
+        payload = {
+            "numeric": [[f.name, f.mean, f.std, f.optional] for f in schema.numeric],
+            "categorical": [[f.name, list(f.levels)] for f in schema.categorical],
+        }
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert schema.schema_hash == hashlib.sha256(blob.encode()).hexdigest()
+        assert schema.schema_hash is schema.schema_hash  # computed once
+
     def test_encode_matrix_shape(self, make_session):
         sessions = [make_session(days_to_departure=d) for d in range(4)]
         schema = fit_schema(sessions)
@@ -182,6 +196,11 @@ class TestTypes:
             make_session(purchased=2)
         with pytest.raises(ValueError):
             make_session(length_of_stay=-1)
+
+    @pytest.mark.parametrize("price", [float("nan"), float("inf"), float("-inf")])
+    def test_session_rejects_non_finite_price(self, make_session, price):
+        with pytest.raises(ValueError, match="finite"):
+            make_session(price_offered=price)
 
     def test_quote_validation(self):
         with pytest.raises(ValueError):

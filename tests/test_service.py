@@ -1,5 +1,7 @@
 import http.client
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -14,7 +16,7 @@ from ancillary_pricing.policies import (
     RandomDiscountParams,
     StaticPricePolicy,
 )
-from ancillary_pricing.service import PricingService
+from ancillary_pricing.service import MAX_BODY_BYTES, PricingService, _Handler
 from ancillary_pricing.session_io import session_to_dict
 from ancillary_pricing.simulator import default_market_spec, export_sessions
 
@@ -57,6 +59,21 @@ def _get(service, path):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
         return err.code, json.loads(err.read())
+
+
+def _post_headers(service, headers: dict):
+    """POST with hand-set headers and no body; returns (status, Connection, body)."""
+    host, port = service.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.putrequest("POST", "/v1/price", skip_accept_encoding=True)
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders()
+        resp = conn.getresponse()
+        return resp.status, resp.getheader("Connection"), json.loads(resp.read())
+    finally:
+        conn.close()
 
 
 def _sample_request(seed=9) -> dict:
@@ -124,10 +141,114 @@ def test_wrong_type_is_unprocessable(service):
     assert status == 422
 
 
+@pytest.mark.parametrize("field,value", [
+    ("price_comparison_score", float("nan")),
+    ("price_comparison_score", float("-inf")),
+    ("price_offered", float("inf")),
+    ("price_offered", float("nan")),
+])
+def test_non_finite_number_is_unprocessable(service, field, value):
+    svc, _ = service
+    doc = _sample_request()
+    doc[field] = value
+    status, body = _post(svc, json.dumps(doc).encode())
+    assert status == 422
+    assert "finite" in body["error"]
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+def test_bad_content_length_is_bad_request(service, length):
+    svc, _ = service
+    status, connection, body = _post_headers(svc, {"Content-Length": length})
+    assert status == 400
+    assert connection == "close"
+    assert "Content-Length" in body["error"]
+
+
+def test_oversized_body_is_refused_unread(service):
+    svc, _ = service
+    # The body is never sent: the reply must not wait for it.
+    status, connection, _ = _post_headers(svc, {"Content-Length": str(MAX_BODY_BYTES + 1)})
+    assert status == 413
+    assert connection == "close"
+
+
+def test_short_body_times_out_without_wedging(service, monkeypatch):
+    svc, _ = service
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.sendall(b"POST /v1/price HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"a\"")
+        t0 = time.perf_counter()
+        reply = sock.makefile("rb").read()  # until the server closes
+        waited = time.perf_counter() - t0
+    assert reply.startswith(b"HTTP/1.1 408 ")
+    assert waited < 5
+    assert _get(svc, "/healthz")[0] == 200
+
+
+def test_keepalive_replies_do_not_stall(service):
+    # A reply written in two segments waits ~40 ms for the delayed ACK.
+    svc, _ = service
+    host, port = svc.address
+    payload = json.dumps(_sample_request()).encode()
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        t0 = time.perf_counter()
+        for _ in range(200):
+            conn.request("POST", "/v1/price", body=payload,
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200
+        took = time.perf_counter() - t0
+    finally:
+        conn.close()
+    assert took < 3.0
+
+
+def test_expect_continue_is_answered_at_once(service):
+    svc, _ = service
+    payload = json.dumps(_sample_request()).encode()
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.sendall(b"POST /v1/price HTTP/1.1\r\nExpect: 100-continue\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(payload))
+        sock.settimeout(0.5)
+        interim = sock.recv(1024)
+        sock.settimeout(10)
+        assert interim.startswith(b"HTTP/1.1 100 Continue\r\n")
+        sock.sendall(payload)
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        assert resp.status == 200
+        assert "recommended_price" in json.loads(resp.read())
+
+
+def test_http09_get_receives_bare_body(service):
+    svc, _ = service
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.sendall(b"GET /healthz\r\n\r\n")
+        assert json.loads(sock.makefile("rb").read()) == {"status": "ok"}
+
+
 def test_unknown_paths_are_not_found(service):
     svc, _ = service
     assert _get(svc, "/nope")[0] == 404
     assert _post(svc, b"{}", path="/v2/price")[0] == 404
+
+
+def test_not_found_post_closes_the_connection(service):
+    # Its body is left unread, so it must not be parsed as the next request.
+    svc, _ = service
+    host, port = svc.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.request("POST", "/v2/price", body=b"{}")
+        resp = conn.getresponse()
+        resp.read()
+        assert resp.status == 404
+        assert resp.getheader("Connection") == "close"
+    finally:
+        conn.close()
 
 
 def test_healthz_survives_many_pricing_calls(service):

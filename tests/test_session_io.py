@@ -83,6 +83,30 @@ def test_bad_field_types_rejected(field, value):
         session_from_dict(doc, line=1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["price_comparison_score", "price_offered"])
+def test_non_finite_numbers_rejected(field, value):
+    doc = session_to_dict(export_sessions(default_market_spec(), 1, seed=0)[0])
+    doc[field] = value
+    with pytest.raises(ParseError, match="finite"):
+        session_from_dict(json.loads(json.dumps(doc)), line=1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf"), 10**400])
+def test_non_finite_extra_feature_rejected(value):
+    doc = session_to_dict(export_sessions(default_market_spec(), 1, seed=0)[0])
+    doc["extra_features"] = {"pop": value}
+    with pytest.raises(ParseError, match="finite"):
+        session_from_dict(doc, line=1)
+
+
+def test_integer_too_large_for_float_rejected():
+    doc = session_to_dict(export_sessions(default_market_spec(), 1, seed=0)[0])
+    doc["days_to_departure"] = 10**400
+    with pytest.raises(ParseError, match="finite"):
+        session_from_dict(doc, line=1)
+
+
 def test_domain_violation_becomes_parse_error():
     doc = session_to_dict(export_sessions(default_market_spec(), 1, seed=0)[0])
     doc["group_size"] = 0
