@@ -200,13 +200,25 @@ class Quote:
 
 
 class DemandModel(Protocol):
-    """Purchase-probability estimator f(x, P) in [0, 1]."""
+    """Purchase-probability estimator f(x, P) in [0, 1].
+
+    ``quote`` needs only ``predict_proba`` and the one-session form of
+    ``predict_proba_grid``; ``quote_batch`` of APP-DES needs the
+    ``features[n, d] -> [n, g]`` form, and that of APP-LM needs
+    ``predict_proba_rows``. Each batch row must equal its session alone.
+    """
 
     def predict_proba(self, features: np.ndarray, price: float) -> float:
         ...
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """Evaluate the same session at many candidate prices in one call."""
+        """Every candidate price for one session ``features[d] -> [g]``, or
+        for each of many sessions ``features[n, d] -> [n, g]``."""
+        ...
+
+    def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        """``predict_proba(features[i], prices[i])`` for each row of
+        ``features[n, d]``, as an ``[n]`` array."""
         ...
 
 
@@ -315,9 +327,52 @@ def encode(session: SessionRecord, schema: EncodingSchema) -> FeatureVector:
 
 
 def encode_matrix(sessions: Sequence[SessionRecord], schema: EncodingSchema) -> np.ndarray:
-    if not sessions:
-        return np.empty((0, schema.dim))
-    return np.stack([encode(s, schema).values for s in sessions])
+    """Encode many sessions column by column; row i equals
+    ``encode(sessions[i], schema).values`` bit for bit.
+
+    On bad input it raises exactly what ``encode`` raises for the first bad
+    session, because the rows are then re-encoded one by one.
+    """
+    out = _encode_columns(sessions, schema)
+    if out is None or not np.all(np.isfinite(out)):
+        return np.stack([encode(s, schema).values for s in sessions])
+    return out
+
+
+def _encode_columns(sessions: Sequence[SessionRecord],
+                    schema: EncodingSchema) -> np.ndarray | None:
+    """The columnar pass of ``encode_matrix``; None on any value that
+    ``encode`` would refuse."""
+    n = len(sessions)
+    out = np.zeros((n, schema.dim))
+    i = 0
+    for f in schema.numeric:
+        raw = [_raw_value(s, f.name) for s in sessions]
+        missing = [v is None for v in raw]
+        if any(missing) and not f.optional:
+            return None
+        if not all(m or _is_numeric(v) for v, m in zip(raw, missing)):
+            return None
+        try:
+            col = np.array([0.0 if m else float(v) for v, m in zip(raw, missing)])
+        except OverflowError:
+            return None
+        col = (col - f.mean) / f.std
+        if f.optional:
+            flags = np.array(missing, dtype=bool)
+            col[flags] = 0.0
+            out[:, i + 1] = flags
+        out[:, i] = col
+        i += 2 if f.optional else 1
+    rows = np.arange(n)
+    for f in schema.categorical:
+        index = {lvl: k for k, lvl in reversed(list(enumerate(f.levels)))}  # first wins
+        unknown = len(f.levels)  # unseen level or absent value -> unknown bucket
+        hot = [unknown if (v := _raw_value(s, f.name)) is None else index.get(str(v), unknown)
+               for s in sessions]
+        out[rows, i + np.array(hot, dtype=np.intp)] = 1.0
+        i += len(f.levels) + 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -346,11 +401,52 @@ def encode_dataset(sessions: Sequence[SessionRecord], schema: EncodingSchema,
     )
 
 
-def snap_to_grid(price: float, grid: PriceGrid) -> int:
-    """Index of the grid price nearest to ``price``.
+def grid_rows(features: np.ndarray, scaled_prices: np.ndarray) -> np.ndarray:
+    """Model input rows (features, scaled price) for every grid price.
+
+    ``features[d]`` gives ``[g, d+1]`` and ``features[n, d]`` gives
+    ``[n, g, d+1]``. Each session's (g, d+1) block is in Fortran order, as
+    ``column_stack`` over a broadcast lays it out: sums over a row and
+    matmuls round in an order that depends on the layout, so one session
+    gets the same bits whether it is priced alone or in a batch.
+    """
+    features = np.asarray(features, dtype=float)
+    *lead, d = features.shape
+    buf = np.empty((*lead, d + 1, len(scaled_prices)))
+    buf[..., :d, :] = features[..., None]
+    buf[..., d, :] = scaled_prices
+    return np.swapaxes(buf, -1, -2)
+
+
+def snap_to_grid(price: float | np.ndarray, grid: PriceGrid) -> int | np.ndarray:
+    """Index of the grid price nearest to ``price``: an ``int`` for a
+    scalar, an array of indices for an array of prices.
 
     The input is clamped into [p_min, p_max] first; exact equidistant ties
-    go to the lower index.
+    go to the lower index. The distances round, so a rounded tie can hide a
+    point that is strictly nearer (``3.5`` on the grid ``1.0, 1.0 + 2**-52,
+    6.0`` ties at 2.5 but is nearer the second point); such ties are
+    settled exactly.
     """
-    p = grid.clamp(price)
-    return int(np.argmin(np.abs(grid.as_array() - p)))
+    prices = grid.as_array()
+    p = np.clip(price, grid.p_min, grid.p_max)
+    flat = np.atleast_1d(p).ravel()
+    dist = np.abs(prices - flat[:, None])
+    idx = np.argmin(dist, axis=1)
+    nearest = dist == dist.min(axis=1, keepdims=True)
+    for i in np.flatnonzero(np.count_nonzero(nearest, axis=1) > 1):
+        idx[i] = _nearest_exact(float(flat[i]), prices, np.flatnonzero(nearest[i]))
+    return int(idx[0]) if np.ndim(price) == 0 else idx.reshape(np.shape(p))
+
+
+def _nearest_exact(p: float, prices: np.ndarray, candidates: np.ndarray) -> int:
+    """The candidate index whose price is exactly nearest to ``p``, the
+    lowest on an exact tie; ``candidates`` ascend, as the prices do."""
+    best = int(candidates[0])
+    for k in candidates[1:]:
+        a, b = float(prices[best]), float(prices[k])
+        # b lies above a: it is nearer when p is not below it, or when p lies
+        # between them and past their midpoint (fsum gives the exact sign).
+        if b <= p or (a < p and math.fsum([p, p, -a, -b]) > 0):
+            best = int(k)
+    return best

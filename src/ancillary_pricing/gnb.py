@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EncodedDataset
+from .core import EncodedDataset, grid_rows
 from .errors import DimensionMismatch, SingleClassDataset, TooFewSamples
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -59,21 +59,22 @@ class GnbModel:
         return float(_posterior_from_joint(joint[..., 0], joint[..., 1]))
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        """Every price for one session ``features[d] -> [g]``, or for each of
+        many ``features[n, d] -> [n, g]``, each row bit-identical to the
+        session priced alone (see ``grid_rows``)."""
         self._check_dim(features)
-        rows = np.column_stack([
-            np.broadcast_to(features, (len(prices), len(features))),
-            np.asarray(prices, dtype=float) / self.p_max,
-        ])
-        joint = self._log_joint(rows)
-        return _posterior_from_joint(joint[:, 0], joint[:, 1])
+        joint = self._log_joint(grid_rows(features, np.asarray(prices, dtype=float) / self.p_max))
+        return _posterior_from_joint(joint[..., 0], joint[..., 1])
 
     def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """Posterior per (row, price) pair; one row per session."""
+        """Posterior per (row, price) pair; one row per session. Each equals
+        ``predict_proba(features[i], prices[i])``: the rows are C-ordered,
+        so each row's sum runs in the same order as for a single row."""
         if features.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected {self.n_features} features, got {features.shape[1]}")
         rows = np.column_stack([features, np.asarray(prices, dtype=float) / self.p_max])
-        joint = self._log_joint(rows)
+        joint = self._log_joint(np.ascontiguousarray(rows))
         return _posterior_from_joint(joint[:, 0], joint[:, 1])
 
 
@@ -189,7 +190,9 @@ class GnbcModel:
         return self.gnb.predict_proba(self._augment(features)[0], price)
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        return self.gnb.predict_proba_grid(self._augment(features)[0], prices)
+        augmented = self._augment(features)
+        return self.gnb.predict_proba_grid(augmented if np.ndim(features) > 1 else augmented[0],
+                                           prices)
 
     def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
         return self.gnb.predict_proba_rows(self._augment(features), prices)

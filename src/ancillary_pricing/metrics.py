@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyInput, NoPurchases, SingleClassInput, UndefinedMetric
+from .policies import QUOTE_BLOCK, quote_all
 
 
 @dataclass(frozen=True)
@@ -221,18 +222,21 @@ class MetricReport:
 
 
 def records_for_policy(policy, sessions, seed: int) -> list[EvalRecord]:
-    """Quote every session under a fixed per-session random stream."""
+    """Quote every session under a fixed per-session random stream, in one
+    ``quote_batch`` call per block of ``QUOTE_BLOCK`` sessions."""
     records = []
-    for i, session in enumerate(sessions):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, i)))
-        quote = policy.quote(session, rng)
-        records.append(EvalRecord(
-            offered_price=session.price_offered,
-            recommended_price=quote.recommended_price,
-            purchased=int(session.purchased),
-            score=policy.score(session),
-            revenue=session.price_offered * int(session.purchased),
-        ))
+    for start in range(0, len(sessions), QUOTE_BLOCK):
+        block = sessions[start:start + QUOTE_BLOCK]
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, i)))
+                for i in range(start, start + len(block))]
+        for session, quote in zip(block, quote_all(policy, block, rngs)):
+            records.append(EvalRecord(
+                offered_price=session.price_offered,
+                recommended_price=quote.recommended_price,
+                purchased=int(session.purchased),
+                score=policy.score(session),
+                revenue=session.price_offered * int(session.purchased),
+            ))
     return records
 
 

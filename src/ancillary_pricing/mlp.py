@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EncodedDataset
+from .core import EncodedDataset, grid_rows
 from .errors import (
     BadArchitecture,
     DimensionMismatch,
@@ -130,18 +130,19 @@ def _forward_cached(model: MlpModel, inputs: np.ndarray, *, train: bool,
 
 def forward(model: MlpModel, inputs: np.ndarray, *, train: bool = False,
             dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
-    """Probability output in (0, 1) for one row or a batch of rows.
+    """Probability output in (0, 1) for one row, a batch of rows, or a
+    stack of batches (``inputs[..., d]``; one output per row).
 
     Inference mode is deterministic; train mode applies inverted dropout to
     hidden activations using ``rng``.
     """
     arr = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if arr.shape[1] != model.input_dim:
-        raise DimensionMismatch(f"expected input dim {model.input_dim}, got {arr.shape[1]}")
+    if arr.shape[-1] != model.input_dim:
+        raise DimensionMismatch(f"expected input dim {model.input_dim}, got {arr.shape[-1]}")
     if train and dropout_rate > 0.0 and rng is None:
         raise ValueError("train-mode dropout requires an rng")
     acts, _ = _forward_cached(model, arr, train=train, dropout_rate=dropout_rate, rng=rng)
-    out = acts[-1][:, 0]
+    out = acts[-1][..., 0]
     return out if np.ndim(inputs) > 1 else float(out[0])
 
 
@@ -247,16 +248,21 @@ class MlpDemandModel:
         return float(forward(self.mlp, row))
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        prices = np.asarray(prices, dtype=float)
-        rows = np.column_stack([
-            np.broadcast_to(features, (len(prices), len(features))),
-            prices / self.p_max,
-        ])
-        return forward(self.mlp, rows)
+        """Every price for one session ``features[d] -> [g]``, or for each of
+        many ``features[n, d] -> [n, g]``.
+
+        A batch goes through the network as a stacked (n, g, d+1) tensor, so
+        each session takes the same (g, d+1) matmuls as on its own and its
+        row is bit-identical; a flat (n*g, d+1) matrix rounds differently in
+        the output layer.
+        """
+        return forward(self.mlp, grid_rows(features, np.asarray(prices, dtype=float) / self.p_max))
 
     def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        """``predict_proba(features[i], prices[i])`` for each row, bit for bit:
+        each row goes through the network as its own (1, d+1) matrix."""
         rows = np.column_stack([features, np.asarray(prices, dtype=float) / self.p_max])
-        return forward(self.mlp, rows)
+        return forward(self.mlp, np.ascontiguousarray(rows)[:, None, :])[:, 0]
 
 
 def grad_check(model: MlpModel, loss_fn: Callable, inputs: np.ndarray,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -22,9 +22,15 @@ from .core import (
     Quote,
     SessionRecord,
     encode,
+    encode_matrix,
     snap_to_grid,
 )
 from .pricing_net import DnnClModel, recommend_price
+
+# Sessions priced per quote_batch call by run_abtest and records_for_policy:
+# it bounds the memory of a batch (an (n, grid, features) tensor for APP-DES)
+# while leaving each arm enough sessions to amortize the per-call cost.
+QUOTE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,12 @@ def des_recommend(model: DemandModel, features: np.ndarray, grid: PriceGrid,
     The demand model is evaluated over the whole grid in a single batched
     call; exact revenue ties go to the lowest price.
     """
+    return _des_quote(model.predict_proba_grid(features, grid.as_array()), grid, model_version)
+
+
+def _des_quote(probs: np.ndarray, grid: PriceGrid, model_version: str) -> Quote:
+    """The revenue-maximizing quote from one session's probabilities over the grid."""
     prices = grid.as_array()
-    probs = model.predict_proba_grid(features, prices)
     revenue = prices * probs
     best = int(np.argmax(revenue))  # first maximum: lowest price on ties
     return Quote(
@@ -95,7 +105,11 @@ def app_lm_recommend(model: DemandModel, features: np.ndarray, p_ref: float,
                      params: LogisticMapParams, grid: PriceGrid,
                      model_version: str = "dev") -> Quote:
     """Probability at the reference price, then the logistic price map."""
-    prob = model.predict_proba(features, p_ref)
+    return _app_lm_quote(model.predict_proba(features, p_ref), params, grid, model_version)
+
+
+def _app_lm_quote(prob: float, params: LogisticMapParams, grid: PriceGrid,
+                  model_version: str) -> Quote:
     return Quote(
         recommended_price=logistic_map(prob, params, grid),
         policy_tag=PolicyTag.APP_LM,
@@ -127,11 +141,19 @@ def static_price(price: float, model_version: str = "human") -> Quote:
 
 
 class PricingPolicy(Protocol):
-    """Maps a raw session to a price quote; rng covers any exploration."""
+    """Maps a raw session to a price quote; rng covers any exploration.
+
+    ``quote_batch(sessions, rngs)[i]`` equals ``quote(sessions[i], rngs[i])``
+    bit for bit, and draws from ``rngs[i]`` in the same order.
+    """
 
     name: str
 
     def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
+        ...
+
+    def quote_batch(self, sessions: Sequence[SessionRecord],
+                    rngs: Sequence[np.random.Generator]) -> list[Quote]:
         ...
 
     def score(self, session: SessionRecord) -> float | None:
@@ -153,6 +175,9 @@ class StaticPricePolicy:
     def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
         return static_price(self.price)
 
+    def quote_batch(self, sessions, rngs) -> list[Quote]:
+        return [self.quote(s, rng) for s, rng in zip(sessions, rngs)]
+
     def score(self, session: SessionRecord) -> float | None:
         return None
 
@@ -173,8 +198,19 @@ class RandomDiscountPolicy:
         return Quote(recommended_price=price, policy_tag=PolicyTag.RANDOM,
                      model_version="random-discount")
 
+    def quote_batch(self, sessions, rngs) -> list[Quote]:
+        return [self.quote(s, rng) for s, rng in zip(sessions, rngs)]
+
     def score(self, session: SessionRecord) -> float | None:
         return None
+
+
+def _check_batch_shape(model, method: str, probs: np.ndarray, shape: tuple) -> None:
+    """A model that implements only the one-session protocol returns the
+    wrong shape for a batch; refuse it rather than misalign the quotes."""
+    if np.shape(probs) != shape:
+        raise ValueError(f"{type(model).__name__}.{method} gave shape {np.shape(probs)} "
+                         f"for a batch of shape {shape}; see core.DemandModel")
 
 
 @dataclass(frozen=True)
@@ -195,6 +231,13 @@ class AppLmPolicy:
                              model_version=self.model_version)
         return q
 
+    def quote_batch(self, sessions, rngs) -> list[Quote]:
+        x = encode_matrix(sessions, self.schema)
+        probs = self.model.predict_proba_rows(x, np.full(len(sessions), self.p_ref))
+        _check_batch_shape(self.model, "predict_proba_rows", probs, (len(sessions),))
+        return [_app_lm_quote(prob, self.logistic, self.grid, self.model_version)
+                for prob in probs.tolist()]
+
     def score(self, session: SessionRecord) -> float | None:
         x = encode(session, self.schema).values
         return self.model.predict_proba(x, session.price_offered)
@@ -212,6 +255,13 @@ class AppDesPolicy:
         x = encode(session, self.schema).values
         return des_recommend(self.model, x, self.grid, model_version=self.model_version)
 
+    def quote_batch(self, sessions, rngs) -> list[Quote]:
+        x = encode_matrix(sessions, self.schema)
+        probs = self.model.predict_proba_grid(x, self.grid.as_array())
+        _check_batch_shape(self.model, "predict_proba_grid", probs,
+                           (len(sessions), len(self.grid)))
+        return [_des_quote(row, self.grid, self.model_version) for row in probs]
+
     def score(self, session: SessionRecord) -> float | None:
         x = encode(session, self.schema).values
         return self.model.predict_proba(x, session.price_offered)
@@ -227,6 +277,13 @@ class DnnClPolicy:
     def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
         x = encode(session, self.schema).values
         return recommend_price(self.model, x, model_version=self.model_version)
+
+    def quote_batch(self, sessions, rngs) -> list[Quote]:
+        raw = self.model.raw_price_batch(encode_matrix(sessions, self.schema))
+        prices = self.model.grid.prices
+        return [Quote(recommended_price=prices[i], policy_tag=PolicyTag.DNN_CL,
+                      model_version=self.model_version)
+                for i in snap_to_grid(raw, self.model.grid).tolist()]
 
     def score(self, session: SessionRecord) -> float | None:
         return None  # prices directly; no probability output
@@ -249,6 +306,16 @@ class EpsilonGreedyPolicy:
         u = float(rng.uniform())
         q_explore = self.explore.quote(session, rng)
         q_exploit = self.exploit.quote(session, rng)
+        return self._choose(u, q_explore, q_exploit)
+
+    def quote_batch(self, sessions, rngs) -> list[Quote]:
+        # Per stream the draws keep the scalar order: u, then explore's, then exploit's.
+        us = [float(rng.uniform()) for rng in rngs]
+        explore = quote_all(self.explore, sessions, rngs)
+        exploit = quote_all(self.exploit, sessions, rngs)
+        return [self._choose(*args) for args in zip(us, explore, exploit)]
+
+    def _choose(self, u: float, q_explore: Quote, q_exploit: Quote) -> Quote:
         price = epsilon_greedy(self.eps, u, q_explore.recommended_price,
                                q_exploit.recommended_price)
         chosen = q_explore if u < self.eps else q_exploit
@@ -273,3 +340,19 @@ def snap_quote_to_grid(quote: Quote, grid: PriceGrid) -> Quote:
         expected_revenue_estimate=quote.expected_revenue_estimate,
         model_version=quote.model_version,
     )
+
+
+def quote_all(policy: PricingPolicy, sessions: Sequence[SessionRecord],
+              rngs: Sequence[np.random.Generator]) -> list[Quote]:
+    """``policy.quote_batch``, or one ``quote`` per session for a policy
+    that implements only ``quote``."""
+    if not sessions:
+        return []
+    batch = getattr(policy, "quote_batch", None)
+    if batch is None:
+        return [policy.quote(s, rng) for s, rng in zip(sessions, rngs)]
+    quotes = batch(sessions, rngs)
+    if len(quotes) != len(sessions):
+        raise ValueError(f"{type(policy).__name__}.quote_batch gave {len(quotes)} quotes "
+                         f"for {len(sessions)} sessions")
+    return quotes

@@ -128,7 +128,7 @@ def _batch_loss(raw_prices: np.ndarray, labels: np.ndarray, grid: PriceGrid,
     """Vectorized loss and subgradient used by the training loop."""
     prices = grid.as_array()
     j = np.arange(1, len(prices) + 1)
-    j_star = np.array([snap_to_grid(f, grid) for f in raw_prices]) + 1
+    j_star = snap_to_grid(raw_prices, grid) + 1
     sign = np.where(labels[:, None] == 1, -1.0, 1.0)  # (-1)^y
     sigma = (j[None, :] - j_star[:, None]) * sign
     delta = np.where(sigma >= 0, labels[:, None].astype(float), 0.0)
@@ -166,7 +166,14 @@ class DnnClModel:
         return self.grid.p_min + s * (self.grid.p_max - self.grid.p_min)
 
     def raw_price_batch(self, features: np.ndarray) -> np.ndarray:
-        s = forward(self.mlp, np.atleast_2d(np.asarray(features, dtype=float)))
+        """``raw_price`` of each row of ``features[n, d]``, bit for bit.
+
+        Each row goes through the network as its own (1, d) matrix of a
+        stacked (n, 1, d) tensor: one flat (n, d) matmul would round
+        differently from the single-row path.
+        """
+        x = np.ascontiguousarray(np.atleast_2d(np.asarray(features, dtype=float)))
+        s = forward(self.mlp, x[:, None, :])[:, 0]
         return self.grid.p_min + s * (self.grid.p_max - self.grid.p_min)
 
 

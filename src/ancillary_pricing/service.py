@@ -51,6 +51,8 @@ class _Handler(BaseHTTPRequestHandler):
         if self.request_version == "HTTP/0.9":  # no status line, no headers
             self.wfile.write(blob)
             return
+        if self.command == "HEAD":  # headers only
+            blob = b""
         self._headers_buffer.append(b"\r\n" + blob)
         self.flush_headers()
 
@@ -74,7 +76,27 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(408, {"error": "timed out reading the request body"}, close=True)
             return None
 
+    def send_error(self, code, message=None, explain=None):
+        """Errors the stdlib detects itself (an unsupported method, a
+        malformed request line, an over-long line or header) as JSON in one
+        write through ``_reply``, closing the connection as the stdlib does.
+
+        HTTP/0.9 still gets a bare body, and a code that carries no body
+        (1xx, 204, 205, 304) still gets none.
+        """
+        short = self.responses.get(code, ("???",))[0]
+        message = short if message is None else message
+        self.log_error("code %d, message %s", code, message)
+        if code < 200 or code in (204, 205, 304):
+            self.send_response(code, message)
+            self.send_header("Connection", "close")
+            self.end_headers()
+            return
+        self._reply(code, {"error": message}, close=True)
+
     def do_GET(self):
+        if self._read_body() is None:  # a body left unread would start the next request
+            return
         if self.path == "/healthz":
             self._reply(200, {"status": "ok"})
         else:

@@ -18,10 +18,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import PriceGrid, Quote, SessionRecord
+from .core import PriceGrid, SessionRecord
 from .errors import CalibrationDiverged
 from .metrics import MetricReport, OfferOutcome, arm_row_from_outcomes
-from .policies import PricingPolicy, RandomDiscountParams, random_discount
+from .policies import (
+    QUOTE_BLOCK,
+    PricingPolicy,
+    RandomDiscountParams,
+    quote_all,
+    random_discount,
+)
 
 EPOCH_2025 = 1_735_689_600  # departure dates land in the year after this
 BOOKING_CLASSES = ("business", "economy", "flex")
@@ -250,6 +256,12 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
     quote, then apply the threshold purchase rule at the quoted price. All
     draws come from the session's own stream, so the full time series is
     reproducible from the master seed alone.
+
+    Each day is worked in blocks of at most ``QUOTE_BLOCK`` sessions: first
+    every session of the block is generated and routed, then each arm
+    prices its sessions of the block in one ``quote_batch`` call. A
+    policy's draws come only from each session's own stream, so the result
+    equals quoting one session at a time.
     """
     names = [a.name for a in config.arms]
     cum_splits = np.cumsum([a.split for a in config.arms])
@@ -265,18 +277,29 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
         else:
             n_today = config.sessions_per_day
         counts = {n: [0, 0, 0.0] for n in names}  # offers, purchases, revenue
-        for _ in range(n_today):
-            rng = session_stream(config.seed, index)
-            index += 1
-            sim = gen_session(spec, rng)
-            arm = config.arms[int(np.searchsorted(cum_splits, rng.uniform(), side="right"))]
-            quote: Quote = arm.policy.quote(sim.record, rng)
-            y = simulate_decision(sim, quote.recommended_price)
-            outcomes[arm.name].append(OfferOutcome(price=quote.recommended_price, purchased=y))
-            c = counts[arm.name]
-            c[0] += 1
-            c[1] += y
-            c[2] += quote.recommended_price * y
+        for start in range(0, n_today, QUOTE_BLOCK):
+            sims, rngs, routes = [], [], []
+            for _ in range(min(QUOTE_BLOCK, n_today - start)):
+                rng = session_stream(config.seed, index)
+                index += 1
+                sims.append(gen_session(spec, rng))
+                rngs.append(rng)
+                routes.append(int(np.searchsorted(cum_splits, rng.uniform(), side="right")))
+            prices = [0.0] * len(sims)
+            for a, arm in enumerate(config.arms):
+                mine = [i for i, r in enumerate(routes) if r == a]
+                quotes = quote_all(arm.policy, [sims[i].record for i in mine],
+                                   [rngs[i] for i in mine])
+                for i, q in zip(mine, quotes):
+                    prices[i] = q.recommended_price
+            for sim, route, price in zip(sims, routes, prices):
+                name = config.arms[route].name
+                y = simulate_decision(sim, price)
+                outcomes[name].append(OfferOutcome(price=price, purchased=y))
+                c = counts[name]
+                c[0] += 1
+                c[1] += y
+                c[2] += price * y
         for n in names:
             offers, purchases, revenue = counts[n]
             daily[n].append(DayStats(day=day, offers=offers, purchases=purchases,

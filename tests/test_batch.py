@@ -1,0 +1,404 @@
+"""Batch paths equal their scalar paths bit for bit.
+
+``encode_matrix`` against ``encode``, each policy's ``quote_batch`` against
+its ``quote``, ``run_abtest`` against the one-session-at-a-time loop it
+replaced (kept below as the oracle), and the array form of ``snap_to_grid``
+against the scalar form.
+"""
+
+import dataclasses
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ancillary_pricing.core import (
+    PriceGrid,
+    SessionRecord,
+    encode,
+    encode_dataset,
+    encode_matrix,
+    fit_schema,
+    grid_rows,
+    snap_to_grid,
+)
+from ancillary_pricing.gnb import fit_gnb, fit_gnbc
+from ancillary_pricing.metrics import OfferOutcome, records_for_policy
+from ancillary_pricing.mlp import MlpDemandModel, TrainConfig, train_app
+from ancillary_pricing.policies import (
+    AppDesPolicy,
+    AppLmPolicy,
+    DnnClPolicy,
+    EpsilonGreedyPolicy,
+    LogisticMapParams,
+    RandomDiscountParams,
+    RandomDiscountPolicy,
+    StaticPricePolicy,
+    quote_all,
+)
+from ancillary_pricing.pricing_net import casewise_loss, custom_loss, train_dnncl
+from ancillary_pricing.simulator import (
+    DEFAULT_GRID,
+    AbConfig,
+    ArmSpec,
+    DayStats,
+    default_market_spec,
+    export_sessions,
+    gen_session,
+    run_abtest,
+    session_stream,
+    simulate_decision,
+)
+
+GRID = DEFAULT_GRID
+SPEC = default_market_spec()
+NOISE = RandomDiscountParams(10.0, 6.0, SPEC.static_price)
+LOGISTIC = LogisticMapParams(max_price=50.0, shape=12.0, midpoint=0.35)
+
+
+def _exact(value) -> str:
+    """A text form that tells apart any two floats (repr round-trips)."""
+    return repr(dataclasses.astuple(value) if dataclasses.is_dataclass(value) else value)
+
+
+# -- encode_matrix ----------------------------------------------------------
+
+_MARKETS = [("AAA", "BBB"), ("CCC", "DDD"), ("EEE", "FFF")]
+_CLASSES = ["economy", "business", "flex"]
+
+
+def _session(i: int, market, booking_class, pcs, popularity, channel, price=40.0):
+    extra = {}
+    if popularity is not None:
+        extra["popularity"] = popularity
+    if channel is not None:
+        extra["channel"] = channel
+    return SessionRecord(
+        session_id=f"s{i}", days_to_departure=i % 90, departure_epoch=1_736_000_000 + 86_400 * i,
+        length_of_stay=i % 9, market=market, group_size=1 + i % 4,
+        booking_class=booking_class, num_stops=i % 3, price_comparison_score=pcs,
+        price_offered=price, purchased=i % 2, extra_features=extra)
+
+
+def _fit_sessions():
+    # popularity is missing in some sessions (optional: a flag column), channel is
+    # categorical and also sometimes absent.
+    return [_session(i, _MARKETS[i % 2], _CLASSES[i % 2], 0.1 * i - 1.0,
+                     None if i % 5 == 0 else 0.3 * i, None if i % 7 == 0 else f"c{i % 3}")
+            for i in range(40)]
+
+
+SCHEMA = fit_schema(_fit_sessions())
+
+_sessions = st.builds(
+    _session,
+    i=st.integers(0, 10_000),
+    market=st.sampled_from(_MARKETS),  # the third market is unknown to the schema
+    booking_class=st.sampled_from(_CLASSES),  # "flex" is unknown to the schema
+    pcs=st.floats(-5.0, 5.0),
+    popularity=st.none() | st.floats(-1e6, 1e6) | st.integers(-1000, 1000),
+    channel=st.none() | st.sampled_from(["c0", "c1", "c2", "web", ""]),
+)
+
+
+def test_schema_covers_optional_numeric_and_categorical_extras():
+    names = {f.name: f for f in SCHEMA.numeric}
+    assert names["popularity"].optional
+    assert any(f.name == "channel" for f in SCHEMA.categorical)
+
+
+@given(sessions=st.lists(_sessions, min_size=0, max_size=30))
+@settings(max_examples=150)
+def test_encode_matrix_rows_equal_encode_bitwise(sessions):
+    mat = encode_matrix(sessions, SCHEMA)
+    assert mat.shape == (len(sessions), SCHEMA.dim)
+    for row, session in zip(mat, sessions):
+        assert row.tobytes() == encode(session, SCHEMA).values.tobytes()
+
+
+def _first_error(sessions):
+    for s in sessions:
+        try:
+            encode(s, SCHEMA)
+        except Exception as exc:  # the oracle: whatever encode raises first
+            return exc
+    return None
+
+
+_bad_values = st.sampled_from([
+    ("popularity", "high"),            # text in a numeric feature
+    ("popularity", True),              # a bool is not numeric
+    ("popularity", math.inf),          # non-finite after scaling
+    ("popularity", 10 ** 400),         # too large for a float
+    ("price_comparison_score", None),  # a required feature missing
+])
+
+
+@given(sessions=st.lists(_sessions, min_size=1, max_size=12), data=st.data())
+@settings(max_examples=100)
+def test_encode_matrix_raises_what_encode_raises_first(sessions, data):
+    for _ in range(data.draw(st.integers(1, 2))):
+        at = data.draw(st.integers(0, len(sessions) - 1))
+        name, value = data.draw(_bad_values)
+        s = sessions[at]
+        if name == "popularity":
+            sessions[at] = dataclasses.replace(s, extra_features={**s.extra_features, name: value})
+        else:
+            sessions[at] = dataclasses.replace(s, **{name: value})
+    expected = _first_error(sessions)
+    assert expected is not None
+    with pytest.raises(type(expected)) as info:
+        encode_matrix(sessions, SCHEMA)
+    assert str(info.value) == str(expected)
+
+
+# -- quote_batch ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def policies():
+    train = export_sessions(SPEC, 1_500, seed=4, price_noise=NOISE, grid=GRID)
+    schema = fit_schema(train)
+    data = encode_dataset(train, schema, GRID)
+    config = TrainConfig(epochs=2, batch_size=128, seed=5)
+    gnb = fit_gnb(data)
+    gnbc = fit_gnbc(data, k=6, seed=1)
+    mlp = MlpDemandModel(train_app(data, config=config).model, GRID.p_max)
+    dnn = train_dnncl(data, GRID, config=config).model
+    out = {
+        "HUMAN": StaticPricePolicy(price=50.0, grid=GRID),
+        "RANDOM": RandomDiscountPolicy(NOISE, GRID),
+        "APP-LM/gnb": AppLmPolicy(gnb, schema, GRID, LOGISTIC, GRID.p_max),
+        "APP-LM/gnbc": AppLmPolicy(gnbc, schema, GRID, LOGISTIC, GRID.p_max),
+        "APP-LM/mlp": AppLmPolicy(mlp, schema, GRID, LOGISTIC, GRID.p_max),
+        "APP-DES/gnb": AppDesPolicy(gnb, schema, GRID),
+        "APP-DES/gnbc": AppDesPolicy(gnbc, schema, GRID),
+        "APP-DES/mlp": AppDesPolicy(mlp, schema, GRID),
+        "DNN-CL": DnnClPolicy(dnn, schema),
+    }
+    # The stream is drawn from by explore only, by exploit only, and by both
+    # (with different discounts, so the order of their draws shows).
+    out["EPS-GREEDY/random-des"] = EpsilonGreedyPolicy(0.3, out["RANDOM"], out["APP-DES/mlp"])
+    out["EPS-GREEDY/lm-random"] = EpsilonGreedyPolicy(0.5, out["APP-LM/gnbc"], out["RANDOM"])
+    deep = RandomDiscountPolicy(RandomDiscountParams(2.0, 9.0, SPEC.static_price), GRID)
+    out["EPS-GREEDY/random-random"] = EpsilonGreedyPolicy(0.5, out["RANDOM"], deep)
+    return out
+
+
+POLICY_NAMES = ["HUMAN", "RANDOM", "APP-LM/gnb", "APP-LM/gnbc", "APP-LM/mlp", "APP-DES/gnb",
+                "APP-DES/gnbc", "APP-DES/mlp", "DNN-CL", "EPS-GREEDY/random-des",
+                "EPS-GREEDY/lm-random", "EPS-GREEDY/random-random"]
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_quote_batch_equals_quote_bitwise(policies, name, seed, n):
+    policy = policies[name]
+    sessions = [sim.record for sim in
+                (gen_session(SPEC, session_stream(seed, i)) for i in range(n))]
+    scalar_rngs = [session_stream(seed + 1, i) for i in range(n)]
+    batch_rngs = [session_stream(seed + 1, i) for i in range(n)]
+    expected = [policy.quote(s, rng) for s, rng in zip(sessions, scalar_rngs)]
+    got = policy.quote_batch(sessions, batch_rngs)
+    assert [_exact(q) for q in got] == [_exact(q) for q in expected]
+    # Each stream is left where the scalar path leaves it.
+    assert ([r.bit_generator.state for r in batch_rngs]
+            == [r.bit_generator.state for r in scalar_rngs])
+
+
+def test_single_session_grid_rows_keep_the_column_stack_layout():
+    # The scalar grid path rounds as it did when it built its rows with
+    # column_stack over a broadcast: same values, same (Fortran) strides.
+    features, scaled = np.linspace(-1.0, 2.0, 7), GRID.as_array() / GRID.p_max
+    rows = grid_rows(features, scaled)
+    old = np.column_stack([np.broadcast_to(features, (len(scaled), len(features))), scaled])
+    assert rows.strides == old.strides
+    assert rows.tobytes(order="A") == old.tobytes(order="A")
+
+
+@pytest.mark.parametrize("name", ["APP-DES/gnb", "APP-DES/gnbc", "APP-DES/mlp"])
+def test_predict_proba_grid_rows_equal_single_sessions(policies, name):
+    policy = policies[name]
+    sessions = export_sessions(SPEC, 200, seed=11)
+    x = encode_matrix(sessions, policy.schema)
+    batch = policy.model.predict_proba_grid(x, GRID.as_array())
+    assert batch.shape == (200, len(GRID))
+    for row, features in zip(batch, x):
+        assert row.tobytes() == policy.model.predict_proba_grid(features, GRID.as_array()).tobytes()
+
+
+def test_raw_price_batch_equals_raw_price(policies):
+    policy = policies["DNN-CL"]
+    x = encode_matrix(export_sessions(SPEC, 300, seed=12), policy.schema)
+    batch = policy.model.raw_price_batch(x)
+    assert [_exact(v) for v in batch.tolist()] == [_exact(policy.model.raw_price(f)) for f in x]
+
+
+class _OneSessionProb:
+    """A demand model with only the one-session grid form: for a batch it
+    returns one (g,) row, as the ``ConstProb`` test stub does."""
+
+    def predict_proba(self, features, price):
+        return 0.4
+
+    def predict_proba_grid(self, features, prices):
+        return np.full(len(prices), 0.4)
+
+    def predict_proba_rows(self, features, prices):
+        return np.array([0.4])
+
+
+@pytest.mark.parametrize("n", [5, len(GRID), 300])
+def test_batch_of_wrong_shape_is_refused(policies, n):
+    # n == len(GRID) would otherwise iterate the (g,) row as n scalar rows.
+    schema = policies["APP-DES/gnb"].schema
+    sessions = export_sessions(SPEC, n, seed=13)
+    rngs = [session_stream(0, i) for i in range(n)]
+    for policy in (AppDesPolicy(_OneSessionProb(), schema, GRID),
+                   AppLmPolicy(_OneSessionProb(), schema, GRID, LOGISTIC, GRID.p_max)):
+        with pytest.raises(ValueError, match="_OneSessionProb"):
+            policy.quote_batch(sessions, rngs)
+        with pytest.raises(ValueError, match="_OneSessionProb"):
+            records_for_policy(policy, sessions, seed=0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ShortBatchPolicy:
+    name: str = "SHORT"
+
+    def quote(self, session, rng):
+        return StaticPricePolicy(price=50.0, grid=GRID).quote(session, rng)
+
+    def quote_batch(self, sessions, rngs):
+        return [self.quote(s, rng) for s, rng in zip(sessions[1:], rngs[1:])]
+
+    def score(self, session):
+        return None
+
+
+def test_quote_batch_of_wrong_length_is_refused():
+    sessions = export_sessions(SPEC, 20, seed=14)
+    rngs = [session_stream(0, i) for i in range(20)]
+    with pytest.raises(ValueError, match="gave 19 quotes for 20 sessions"):
+        quote_all(_ShortBatchPolicy(), sessions, rngs)
+    with pytest.raises(ValueError, match="gave 19 quotes for 20 sessions"):
+        records_for_policy(_ShortBatchPolicy(), sessions, seed=0)
+    arms = (ArmSpec("HUMAN", StaticPricePolicy(price=50.0, grid=GRID), 0.5),
+            ArmSpec("SHORT", _ShortBatchPolicy(), 0.5))
+    config = AbConfig(arms=arms, days=1, sessions_per_day=20, seed=0)
+    with pytest.raises(ValueError, match=r"_ShortBatchPolicy.quote_batch gave \d+ quotes"):
+        run_abtest(SPEC, config)
+
+
+# -- run_abtest -------------------------------------------------------------
+
+def _scalar_abtest(spec, config):
+    """The per-session loop run_abtest used before it batched quotes."""
+    names = [a.name for a in config.arms]
+    cum_splits = np.cumsum([a.split for a in config.arms])
+    daily = {n: [] for n in names}
+    outcomes = {n: [] for n in names}
+    index = 0
+    for day in range(config.days):
+        if config.sessions_per_day_dist == "poisson":
+            day_rng = np.random.default_rng(
+                np.random.SeedSequence(config.seed, spawn_key=(1, day)))
+            n_today = int(day_rng.poisson(config.sessions_per_day))
+        else:
+            n_today = config.sessions_per_day
+        counts = {n: [0, 0, 0.0] for n in names}
+        for _ in range(n_today):
+            rng = session_stream(config.seed, index)
+            index += 1
+            sim = gen_session(spec, rng)
+            arm = config.arms[int(np.searchsorted(cum_splits, rng.uniform(), side="right"))]
+            quote = arm.policy.quote(sim.record, rng)
+            y = simulate_decision(sim, quote.recommended_price)
+            outcomes[arm.name].append(OfferOutcome(price=quote.recommended_price, purchased=y))
+            c = counts[arm.name]
+            c[0] += 1
+            c[1] += y
+            c[2] += quote.recommended_price * y
+        for n in names:
+            offers, purchases, revenue = counts[n]
+            daily[n].append(DayStats(day=day, offers=offers, purchases=purchases,
+                                     revenue=revenue))
+    return daily, outcomes
+
+
+def _six_arms(policies, rare_split=None):
+    names = ["HUMAN", "RANDOM", "APP-LM/gnbc", "APP-DES/mlp", "DNN-CL", "EPS-GREEDY/random-des"]
+    splits = [1 / 6] * 6
+    if rare_split is not None:  # DNN-CL gets so little traffic that most blocks miss it
+        splits = [(1 - rare_split) / 5] * 6
+        splits[4] = rare_split
+    return tuple(ArmSpec(name, policies[name], split) for name, split in zip(names, splits))
+
+
+@pytest.mark.parametrize("days,per_day,dist,rare", [
+    (3, 300, "poisson", None),   # Poisson day lengths, blocks cut mid-day
+    (2, 513, "fixed", None),     # not a multiple of the block size
+    (5, 1, "fixed", None),       # one session per day
+    (2, 600, "fixed", 0.003),    # an arm with no traffic in some blocks
+])
+def test_run_abtest_equals_scalar_loop(policies, days, per_day, dist, rare):
+    config = AbConfig(arms=_six_arms(policies, rare), days=days, sessions_per_day=per_day,
+                      sessions_per_day_dist=dist, seed=31)
+    result = run_abtest(SPEC, config)
+    daily, outcomes = _scalar_abtest(SPEC, config)
+    assert _exact(result.daily) == _exact(daily)
+    assert _exact(result.outcomes) == _exact(outcomes)
+    if rare is not None:
+        assert 0 < len(outcomes["DNN-CL"]) < 5
+
+
+# -- snap_to_grid -----------------------------------------------------------
+
+_grids = st.lists(st.floats(1.0, 500.0), min_size=2, max_size=12, unique=True).map(
+    lambda ps: PriceGrid(tuple(sorted(ps))))
+
+
+@given(grid=_grids, data=st.data())
+@settings(max_examples=200)
+def test_array_snap_equals_scalar_snap(grid, data):
+    midpoints = [(a + b) / 2 for a, b in zip(grid.prices, grid.prices[1:])]
+    prices = data.draw(st.lists(
+        st.sampled_from(midpoints + list(grid.prices))
+        | st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    got = snap_to_grid(np.array(prices, dtype=float), grid)
+    assert got.tolist() == [snap_to_grid(p, grid) for p in prices]
+    assert all(type(snap_to_grid(p, grid)) is int for p in prices)
+
+
+def _exact_nearest(p: float, grid: PriceGrid) -> int:
+    p = Fraction(min(max(p, grid.p_min), grid.p_max))
+    return min(range(len(grid)), key=lambda k: (abs(Fraction(grid.prices[k]) - p), k))
+
+
+# Grids with neighbours one float apart, where the rounded distances tie.
+_tight_grids = st.lists(st.floats(1.0, 500.0), min_size=1, max_size=6, unique=True).map(
+    lambda ps: PriceGrid(tuple(sorted({q for p in ps for q in (p, math.nextafter(p, 1e9))}))))
+
+
+@given(grid=_grids | _tight_grids, data=st.data())
+@settings(max_examples=300)
+def test_snap_is_the_exactly_nearest_point(grid, data):
+    midpoints = [(a + b) / 2 for a, b in zip(grid.prices, grid.prices[1:])]
+    prices = data.draw(st.lists(
+        st.sampled_from(midpoints + list(grid.prices))
+        | st.floats(0.0, 600.0), min_size=1, max_size=20))
+    expected = [_exact_nearest(p, grid) for p in prices]
+    assert [snap_to_grid(p, grid) for p in prices] == expected
+    assert snap_to_grid(np.array(prices), grid).tolist() == expected
+
+
+def test_rounded_tie_snaps_to_the_nearer_point():
+    # |3.5 - 1.0| and |3.5 - (1.0 + 2**-52)| both round to 2.5.
+    grid = PriceGrid((1.0, math.nextafter(1.0, 2.0), 6.0))
+    assert snap_to_grid(3.5, grid) == 1
+    assert snap_to_grid(np.array([3.5, 3.5]), grid).tolist() == [1, 1]
+    assert custom_loss(3.5, 0, grid, 0.5, 2.0)[0] == casewise_loss(3.5, 0, grid, 0.5, 2.0)

@@ -282,3 +282,72 @@ def test_hot_swap_changes_quotes_atomically(service):
         svc.swap_policy(bundle.policy())
     restored = _post(svc, json.dumps(doc).encode())[1]["recommended_price"]
     assert restored == before
+
+
+def test_get_body_is_read_before_the_next_request(service):
+    # An unread GET body would be parsed as the start of the next request line.
+    svc, _ = service
+    host, port = svc.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        for body in (b"{}", None):
+            conn.request("GET", "/healthz", body=body)
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) == (200, {"status": "ok"})
+    finally:
+        conn.close()
+
+
+def test_oversized_get_body_is_refused_and_closes(service):
+    svc, _ = service
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1))
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        assert resp.status == 413
+        assert resp.getheader("Connection") == "close"
+
+
+def _raw_reply(service, request: bytes):
+    """Send raw bytes; return (status, headers, body) of the reply."""
+    with socket.create_connection(service.address, timeout=10) as sock:
+        sock.sendall(request)
+        resp = http.client.HTTPResponse(sock, method=request.split(b" ", 1)[0].decode())
+        resp.begin()
+        return resp.status, resp.headers, resp.read()
+
+
+# Each request ends where the server stops reading: bytes left unread when it
+# closes would make it reset the connection, perhaps before the reply is read.
+@pytest.mark.parametrize("request_bytes,status", [
+    (b"PUT /v1/price HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
+    (b"GET / x HTTP/1.1\r\n", 400),
+    (b"GET /" + b"a" * (65_537 - 5), 414),
+    (b"GET /healthz HTTP/1.1\r\n" + b"X-A: b\r\n" * 101, 431),
+], ids=["unsupported-method", "bad-request-line", "uri-too-long", "too-many-headers"])
+def test_stdlib_errors_are_json(service, request_bytes, status):
+    svc, _ = service
+    got, headers, body = _raw_reply(svc, request_bytes)
+    assert got == status
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Connection"] == "close"
+    assert int(headers["Content-Length"]) == len(body)
+    assert isinstance(json.loads(body)["error"], str)
+
+
+def test_stdlib_error_to_head_has_no_body(service):
+    svc, _ = service
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.sendall(b"HEAD /healthz HTTP/1.1\r\n\r\n")
+        reply = sock.makefile("rb").read()  # until the server closes
+    assert reply.startswith(b"HTTP/1.1 501 ")
+    assert b"Content-Type: application/json\r\n" in reply
+    assert reply.endswith(b"\r\n\r\n")
+
+
+def test_stdlib_error_to_http09_request_is_bare_json(service):
+    # A bad version leaves the request at HTTP/0.9: no status line, no headers.
+    svc, _ = service
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.sendall(b"GET / HTTP/x\r\n")
+        assert "error" in json.loads(sock.makefile("rb").read())
