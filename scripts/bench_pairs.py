@@ -12,7 +12,10 @@ alternates which side runs first. Each side's median and quartiles
 (``statistics.quantiles(n=4)``), the relative change of the medians and
 the number of pairs the change wins (ties count for neither side) are
 written under ``end_to_end.<workload>`` of ``BENCH_<pr>.json`` at the
-root of this checkout. Other keys of an existing file are kept.
+root of this checkout. Other keys of an existing file are kept. When the
+workload prints an artifact ``digest``, ``artifacts_identical`` records per
+seed whether every run of both sides wrote the same artifacts, so a change
+meant to be bit-identical shows it from the same runs.
 
 A gain counts when the change wins at least nine tenths of the pairs and
 the medians differ by more than the parent's interquartile range; each
@@ -43,7 +46,7 @@ def parse_seeds(text: str) -> list[int]:
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``checkout``: its result plus the
-    machine line it prints."""
+    machine and digest lines it prints."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -56,12 +59,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     for line in lines:
         if line.startswith("machine "):
             result["machine"] = json.loads(line[len("machine "):])
+        elif line.startswith("digest "):
+            result["digest"] = line[len("digest "):].strip()
     return result
 
 
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def artifacts_identical(runs: list[dict]) -> dict[str, bool] | None:
+    """Per seed: whether both sides ran it and all its runs printed one
+    digest. None when no run printed a digest."""
+    digests: dict[int, dict[str, set]] = {}
+    for r in runs:
+        if "digest" in r:
+            digests.setdefault(r["seed"], {}).setdefault(r["side"], set()).add(r["digest"])
+    if not digests:
+        return None
+    return {str(seed): len(sides) == 2 and len(sides["parent"] | sides["change"]) == 1
+            for seed, sides in sorted(digests.items())}
 
 
 def summarize(spec: dict, workload: str, seeds: list[int], runs: list[dict]) -> dict:
@@ -89,6 +107,9 @@ def summarize(spec: dict, workload: str, seeds: list[int], runs: list[dict]) -> 
                "failed": sum(r["failed"] for r in rs),
                "all_correct": all(r["correct"] for r in rs)}
         for side, rs in by_side.items()}
+    identical = artifacts_identical(runs)
+    if identical is not None:
+        entry["artifacts_identical"] = identical
     return entry
 
 
@@ -144,6 +165,9 @@ def main() -> None:
         print(f"{metric['name']:<18} parent {e['parent']['median']:.6g} -> change "
               f"{e['change']['median']:.6g} ({e['relative_change']:+.2%}), change wins "
               f"{e['change_wins']}, gain rule {'met' if e['gain_rule_met'] else 'not met'}")
+    if "artifacts_identical" in entry:
+        same = entry["artifacts_identical"]
+        print(f"artifacts identical on {sum(same.values())}/{len(same)} seeds")
 
 
 if __name__ == "__main__":

@@ -257,7 +257,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _arm_from_doc(doc: dict, grid: PriceGrid, static_price: float,
-                  base_dir: Path) -> ArmSpec:
+                  base_dir: Path, bundles: dict[Path, PricingBundle]) -> ArmSpec:
+    """One arm of an abtest config. ``bundles`` holds the checkpoints
+    loaded so far, keyed by resolved path, so arms that share a file load
+    and verify it once."""
     try:
         name = doc["name"]
         kind = doc["policy"]
@@ -268,7 +271,10 @@ def _arm_from_doc(doc: dict, grid: PriceGrid, static_price: float,
     def bundle_at(key: str) -> PricingBundle:
         if key not in doc:
             raise ConfigError(f"arm {name!r} needs a {key!r} path")
-        return load_checkpoint(base_dir / doc[key])
+        path = (base_dir / doc[key]).resolve()
+        if path not in bundles:
+            bundles[path] = load_checkpoint(path)
+        return bundles[path]
 
     if kind == "human":
         policy = StaticPricePolicy(price=doc.get("price", static_price), grid=grid,
@@ -333,7 +339,9 @@ def _cmd_abtest(args) -> int:
     static_price = float(cfg.get("static_price", spec.static_price))
     if "arms" not in cfg or "days" not in cfg or "sessions_per_day" not in cfg:
         raise ConfigError("abtest config needs 'arms', 'days', and 'sessions_per_day'")
-    arms = tuple(_arm_from_doc(a, grid, static_price, base_dir) for a in cfg["arms"])
+    bundles: dict[Path, PricingBundle] = {}
+    arms = tuple(_arm_from_doc(a, grid, static_price, base_dir, bundles)
+                 for a in cfg["arms"])
     try:
         config = AbConfig(
             arms=arms,

@@ -60,8 +60,13 @@ class _Handler(BaseHTTPRequestHandler):
         """The request body, or None after replying with an error.
 
         An error reply closes the connection: the unread body would
-        otherwise be parsed as the next request.
+        otherwise be parsed as the next request. A body framed by
+        ``Transfer-Encoding`` (chunked) is not supported: 501, unread.
         """
+        if "Transfer-Encoding" in self.headers:
+            self._reply(501, {"error": "Transfer-Encoding is not supported; "
+                                       "send a Content-Length"}, close=True)
+            return None
         text = self.headers.get("Content-Length", "0").strip()
         if not (text.isascii() and text.isdigit()):
             self._reply(400, {"error": f"bad Content-Length: {text!r}"}, close=True)

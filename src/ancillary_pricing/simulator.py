@@ -14,6 +14,7 @@ parallelized without changing results.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,6 +34,17 @@ EPOCH_2025 = 1_735_689_600  # departure dates land in the year after this
 BOOKING_CLASSES = ("business", "economy", "flex")
 CLASS_PROBS = (0.10, 0.72, 0.18)
 CLASS_WTP_BUMP = {"business": 0.25, "economy": 0.0, "flex": 0.10}
+
+
+def choice_table(weights) -> list[float]:
+    """The cumulative table ``Generator.choice(n, p=weights)`` searches:
+    the running sum of the weights divided by its last entry."""
+    cdf = np.cumsum(np.asarray(weights, dtype=float))
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+CLASS_TABLE = choice_table(CLASS_PROBS)
 
 
 @dataclass(frozen=True)
@@ -75,11 +87,16 @@ class MarketSpec:
     def __post_init__(self):
         if not self.sub_markets:
             raise ValueError("need at least one sub-market")
-        total = sum(sm.weight for sm in self.sub_markets)
+        weights = [sm.weight for sm in self.sub_markets]
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError(f"sub-market weights must be finite and non-negative, "
+                             f"got {weights}")
+        total = sum(weights)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"sub-market weights must sum to 1, got {total}")
         if self.static_price <= 0:
             raise ValueError("static_price must be positive")
+        object.__setattr__(self, "_sub_market_table", choice_table(weights))
 
 
 @dataclass(frozen=True)
@@ -96,9 +113,14 @@ def session_stream(master_seed: int, index: int) -> np.random.Generator:
 
 
 def gen_session(spec: MarketSpec, rng: np.random.Generator) -> SimSession:
-    """Sample one session; the draw order below is part of the contract."""
-    weights = [sm.weight for sm in spec.sub_markets]
-    sm = spec.sub_markets[rng.choice(len(spec.sub_markets), p=weights)]
+    """Sample one session; the draw order below is part of the contract.
+
+    A categorical draw (sub-market, booking class) takes one ``random()``
+    and looks it up in the cumulative table with ``bisect_right``. That is
+    exactly what ``rng.choice(n, p=weights)`` draws and returns, so the
+    contract is the same as that of the ``choice`` form.
+    """
+    sm = spec.sub_markets[bisect_right(spec._sub_market_table, rng.random())]
     market = sm.markets[rng.integers(len(sm.markets))]
     dtd = int(rng.integers(0, spec.dtd_max + 1))
     departure_epoch = EPOCH_2025 + int(rng.integers(0, 365)) * 86_400
@@ -108,7 +130,7 @@ def gen_session(spec: MarketSpec, rng: np.random.Generator) -> SimSession:
         los = 1 + int(rng.integers(0, spec.los_max))
     group = 1 + int(rng.binomial(4, 0.22))
     stops = int(rng.integers(0, 3))
-    booking_class = BOOKING_CLASSES[rng.choice(len(BOOKING_CLASSES), p=CLASS_PROBS)]
+    booking_class = BOOKING_CLASSES[bisect_right(CLASS_TABLE, rng.random())]
     pcs = float(rng.normal())
     popularity = float(rng.normal(sm.popularity, 0.3))
 
@@ -264,7 +286,7 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
     equals quoting one session at a time.
     """
     names = [a.name for a in config.arms]
-    cum_splits = np.cumsum([a.split for a in config.arms])
+    cum_splits = np.cumsum([a.split for a in config.arms]).tolist()
     daily: dict[str, list[DayStats]] = {n: [] for n in names}
     outcomes: dict[str, list[OfferOutcome]] = {n: [] for n in names}
 
@@ -284,7 +306,7 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
                 index += 1
                 sims.append(gen_session(spec, rng))
                 rngs.append(rng)
-                routes.append(int(np.searchsorted(cum_splits, rng.uniform(), side="right")))
+                routes.append(bisect_right(cum_splits, rng.random()))
             prices = [0.0] * len(sims)
             for a, arm in enumerate(config.arms):
                 mine = [i for i, r in enumerate(routes) if r == a]

@@ -5,7 +5,11 @@ import pytest
 
 from ancillary_pricing.cli import cli
 from ancillary_pricing.session_io import read_sessions, session_to_dict
-from ancillary_pricing.simulator import default_market_spec, export_sessions
+from ancillary_pricing.simulator import (
+    default_market_spec,
+    export_sessions,
+    market_spec_to_doc,
+)
 
 GRID_ARG = "30,35,40,45,50"
 SIM_CFG = {
@@ -233,3 +237,59 @@ def test_abtest_bad_arm_config_is_data_error(workdir, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert cli(["abtest", "--config", str(cfg_path), "--out",
                 str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -0.2])
+def test_simulate_bad_sub_market_weight_is_data_error(tmp_path, weight):
+    market = market_spec_to_doc(default_market_spec())
+    market["sub_markets"][0]["weight"] = weight
+    if weight == -0.2:  # the weights still sum to 1
+        market["sub_markets"][2]["weight"] = 0.95
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"market": market, "n_sessions": 10}))  # NaN, Infinity
+    assert cli(["simulate", "--config", str(cfg), "--out",
+                str(tmp_path / "out.jsonl")]) == 2
+
+
+def test_abtest_loads_each_checkpoint_once(workdir, tmp_path, monkeypatch):
+    import ancillary_pricing.cli as cli_module
+
+    cfg = {
+        "market": "default",
+        "grid": SIM_CFG["grid"],
+        "days": 1,
+        "sessions_per_day": 300,
+        "seed": 4,
+        "arms": [
+            {"name": "HUMAN", "policy": "human", "split": 0.17},
+            {"name": "RANDOM", "policy": "random_discount", "split": 0.17},
+            {"name": "APP-LM", "policy": "app_lm", "split": 0.17,
+             "checkpoint": "gnbc.ckpt.json"},
+            {"name": "APP-DES", "policy": "app_des", "split": 0.17,
+             "checkpoint": "app-dnn.ckpt.json"},
+            {"name": "DNN-CL", "policy": "dnn_cl", "split": 0.16,
+             "checkpoint": str(workdir / "dnn-cl.ckpt.json")},
+            {"name": "EPS-GREEDY", "policy": "epsilon_greedy", "split": 0.16,
+             "explore_checkpoint": str(workdir / "gnbc.ckpt.json"),
+             "exploit_checkpoint": "./app-dnn.ckpt.json"},
+        ],
+    }
+    cfg_path = workdir / "ab_six.json"
+    cfg_path.write_text(json.dumps(cfg))
+    loads = []
+    real_load = cli_module.load_checkpoint
+    monkeypatch.setattr(cli_module, "load_checkpoint",
+                        lambda path: loads.append(path) or real_load(path))
+    shared, separate = tmp_path / "shared.json", tmp_path / "separate.json"
+    assert cli(["abtest", "--config", str(cfg_path), "--out", str(shared)]) == 0
+    assert len(loads) == 3  # relative, absolute and ./ paths to one file are one key
+
+    # Reference: every arm loads its own checkpoints, as before the cache.
+    real_arm = cli_module._arm_from_doc
+    monkeypatch.setattr(cli_module, "_arm_from_doc",
+                        lambda doc, grid, price, base, bundles: real_arm(doc, grid, price,
+                                                                         base, {}))
+    loads.clear()
+    assert cli(["abtest", "--config", str(cfg_path), "--out", str(separate)]) == 0
+    assert len(loads) == 5
+    assert shared.read_bytes() == separate.read_bytes()

@@ -351,3 +351,17 @@ def test_stdlib_error_to_http09_request_is_bare_json(service):
     with socket.create_connection(svc.address, timeout=10) as sock:
         sock.sendall(b"GET / HTTP/x\r\n")
         assert "error" in json.loads(sock.makefile("rb").read())
+
+
+def test_chunked_post_gets_one_reply_and_closes(service):
+    # Chunk data read as the next request would give a second, unrequested reply.
+    svc, _ = service
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.sendall(b"POST /v1/price HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n"
+                     b"Content-Type: application/json\r\n\r\n2\r\n{}\r\n0\r\n\r\n")
+        reply = sock.makefile("rb").read()  # until the server closes
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 501 ")
+    assert b"\r\nConnection: close" in head
+    assert int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0]) == len(body)
+    assert "Transfer-Encoding" in json.loads(body)["error"]

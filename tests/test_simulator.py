@@ -1,19 +1,27 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ancillary_pricing.core import PriceGrid
+from ancillary_pricing.core import PriceGrid, SessionRecord
 from ancillary_pricing.errors import CalibrationDiverged
 from ancillary_pricing.policies import RandomDiscountParams, StaticPricePolicy
 from ancillary_pricing.session_io import session_to_dict
 from ancillary_pricing.simulator import (
+    BOOKING_CLASSES,
+    CLASS_PROBS,
+    EPOCH_2025,
     AbConfig,
     ArmSpec,
     MarketSpec,
+    SimSession,
     SubMarket,
     calibrate,
+    choice_table,
     default_market_spec,
     export_sessions,
     gen_session,
@@ -32,6 +40,153 @@ def _flat_spec(base=math.log(50.0), std=0.0, los_bonus=0.0, **kwargs) -> MarketS
                     wtp_log_mean=base, wtp_log_std=std, los_bonus=los_bonus, **kwargs)
     return MarketSpec(sub_markets=(sub,), static_price=50.0,
                       booking_class_bumps={})
+
+
+def _choice_gen_session(spec: MarketSpec, rng: np.random.Generator) -> SimSession:
+    """The ``rng.choice(n, p=...)`` form of ``gen_session``: the oracle
+    for its table lookups."""
+    weights = [sm.weight for sm in spec.sub_markets]
+    sm = spec.sub_markets[rng.choice(len(spec.sub_markets), p=weights)]
+    market = sm.markets[rng.integers(len(sm.markets))]
+    dtd = int(rng.integers(0, spec.dtd_max + 1))
+    departure_epoch = EPOCH_2025 + int(rng.integers(0, 365)) * 86_400
+    if rng.random() < spec.one_way_share:
+        los = 0
+    else:
+        los = 1 + int(rng.integers(0, spec.los_max))
+    group = 1 + int(rng.binomial(4, 0.22))
+    stops = int(rng.integers(0, 3))
+    booking_class = BOOKING_CLASSES[rng.choice(len(BOOKING_CLASSES), p=CLASS_PROBS)]
+    pcs = float(rng.normal())
+    popularity = float(rng.normal(sm.popularity, 0.3))
+
+    log_wtp = sm.wtp_log_mean
+    log_wtp += sm.dtd_slope * (dtd / spec.dtd_max)
+    los_norm = los / spec.los_max
+    if sm.los_window[0] <= los_norm <= sm.los_window[1]:
+        log_wtp += sm.los_bonus
+    log_wtp += sm.group_slope * (group - 1)
+    log_wtp += sm.pcs_slope * pcs
+    log_wtp += sm.popularity_slope * popularity
+    log_wtp += spec.booking_class_bumps.get(booking_class, 0.0)
+    log_wtp += float(rng.normal(0.0, sm.wtp_log_std)) if sm.wtp_log_std > 0 else 0.0
+
+    record = SessionRecord(
+        session_id=f"s{rng.integers(2**63):016x}",
+        days_to_departure=dtd,
+        departure_epoch=departure_epoch,
+        length_of_stay=los,
+        market=market,
+        group_size=group,
+        booking_class=booking_class,
+        num_stops=stops,
+        price_comparison_score=pcs,
+        price_offered=spec.static_price,
+        purchased=None,
+        extra_features={"route_popularity": popularity},
+    )
+    return SimSession(record=record, wtp=math.exp(log_wtp))
+
+
+@st.composite
+def _market_specs(draw) -> MarketSpec:
+    # Integer shares normalized to weights: 1-4 sub-markets, zeros allowed.
+    shares = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=4)
+                  .filter(lambda xs: sum(xs) > 0))
+    total = sum(shares)
+    subs = []
+    for k, share in enumerate(shares):
+        n_markets = draw(st.integers(1, 6))
+        lo = draw(st.floats(0.0, 1.0))
+        subs.append(SubMarket(
+            name=f"sm{k}",
+            markets=tuple((f"O{k}{j}", f"D{k}{j}") for j in range(n_markets)),
+            weight=share / total,
+            wtp_log_mean=draw(st.floats(1.0, 5.0)),
+            wtp_log_std=draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 1.0)),
+            dtd_slope=draw(st.floats(-1.0, 1.0)),
+            los_window=(lo, draw(st.floats(lo, 1.0))),
+            los_bonus=draw(st.floats(-1.0, 1.0)),
+            group_slope=draw(st.floats(-0.5, 0.5)),
+            pcs_slope=draw(st.floats(-0.5, 0.5)),
+            popularity=draw(st.floats(-2.0, 2.0)),
+            popularity_slope=draw(st.floats(-0.5, 0.5)),
+        ))
+    return MarketSpec(sub_markets=tuple(subs), static_price=50.0,
+                      dtd_max=draw(st.integers(1, 365)), los_max=draw(st.integers(1, 30)),
+                      one_way_share=draw(st.floats(0.0, 1.0)))
+
+
+@given(spec=_market_specs(), seed=st.integers(0, 2**63 - 1),
+       indices=st.lists(st.integers(0, 2**40), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_gen_session_equals_choice_form_bitwise(spec, seed, indices):
+    for index in indices:
+        rng, oracle_rng = session_stream(seed, index), session_stream(seed, index)
+        got, want = gen_session(spec, rng), _choice_gen_session(spec, oracle_rng)
+        assert repr(got.record) == repr(want.record)  # repr tells -0.0 from 0.0
+        assert got.wtp.hex() == want.wtp.hex()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: ``random()`` returns the scripted values,
+    every other draw its lowest value."""
+
+    def __init__(self, randoms):
+        self._randoms = list(randoms)
+
+    def random(self):
+        return self._randoms.pop(0)
+
+    def integers(self, *args):
+        return 0
+
+    def binomial(self, n, p):
+        return 0
+
+    def normal(self, loc=0.0, scale=1.0):
+        return loc
+
+
+def _probes(cdf: np.ndarray) -> list[float]:
+    """Each table boundary and its neighbours, plus both ends of [0, 1)."""
+    probes = {0.0, float(np.nextafter(1.0, 0.0))}
+    for edge in cdf:
+        probes.update(float(x) for x in (edge, np.nextafter(edge, -np.inf),
+                                         np.nextafter(edge, np.inf)))
+    return sorted(p for p in probes if 0.0 <= p < 1.0)
+
+
+@pytest.mark.parametrize("weights", [
+    (1.0,),
+    (0.075, 0.25, 0.675),
+    (0.0, 0.5, 0.0, 0.5),
+    (1 / 3, 1 / 3, 1 / 3),
+    (0.0, 0.0, 1.0, 0.0),
+    (0.1,) * 10,  # the running sum ends below 1, so the table is normalized
+])
+def test_sub_market_lookup_equals_searchsorted(weights):
+    subs = tuple(SubMarket(name=f"sm{k}", markets=((f"O{k}", f"D{k}"),), weight=w,
+                           wtp_log_mean=3.0, wtp_log_std=0.0)
+                 for k, w in enumerate(weights))
+    spec = MarketSpec(sub_markets=subs, static_price=50.0)
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    assert choice_table(weights) == cdf.tolist()
+    for u in _probes(cdf):
+        record = gen_session(spec, _ScriptedRng([u, 0.5, 0.5])).record
+        assert record.market == subs[int(np.searchsorted(cdf, u, side="right"))].markets[0]
+
+
+def test_booking_class_lookup_equals_searchsorted():
+    spec = default_market_spec()
+    cdf = np.cumsum(CLASS_PROBS)
+    cdf /= cdf[-1]
+    for u in _probes(cdf):
+        record = gen_session(spec, _ScriptedRng([0.5, 0.5, u])).record
+        assert record.booking_class == BOOKING_CLASSES[int(np.searchsorted(cdf, u,
+                                                                           side="right"))]
 
 
 class TestGenSession:
@@ -243,3 +398,23 @@ class TestSpecSerialization:
         doc["sub_markets"][0]["weight"] = 0.9
         with pytest.raises(ValueError):
             market_spec_from_doc(doc)
+
+    @pytest.mark.parametrize("weights", [
+        (float("nan"), 0.25, 0.675),
+        (float("inf"), 0.25, 0.675),
+        (-0.2, 0.25, 0.95),
+    ], ids=["nan", "inf", "negative"])
+    def test_bad_weights_refused_when_built(self, weights):
+        doc = market_spec_to_doc(default_market_spec())
+        for sm, w in zip(doc["sub_markets"], weights):
+            sm["weight"] = w
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            market_spec_from_doc(doc)
+
+    def test_choice_table_follows_replace(self):
+        spec = default_market_spec()
+        subs = tuple(replace(sm, weight=w)
+                     for sm, w in zip(spec.sub_markets, (0.5, 0.0, 0.5)))
+        moved = replace(spec, sub_markets=subs)
+        assert moved._sub_market_table == choice_table([0.5, 0.0, 0.5])
+        assert spec._sub_market_table == choice_table([0.075, 0.25, 0.675])
