@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +51,8 @@ class PricingBundle:
             raise ConfigError(f"unknown model type {self.model_type!r}")
         if self.model_type in ("gnb", "gnbc") and self.logistic is None:
             raise ConfigError(f"{self.model_type} bundles need logistic map parameters")
+        if self.p_ref is not None and not (math.isfinite(self.p_ref) and self.p_ref > 0):
+            raise ConfigError(f"p_ref must be positive and finite, got {self.p_ref}")
 
     def policy(self, name: str | None = None) -> PricingPolicy:
         """The serving policy paired with this model type."""

@@ -171,25 +171,38 @@ def _grid_from_cfg(cfg: dict) -> PriceGrid:
     return DEFAULT_GRID
 
 
+def _spec_from_cfg(cfg: dict, seed: int):
+    """The config's market, calibrated when the config asks for it."""
+    spec = _market_from_cfg(cfg)
+    if "calibrate" in cfg:
+        cal = cfg["calibrate"]
+        try:
+            spec = calibrate(spec, cal.get("target_rate", spec.target_base_conversion),
+                             n=cal.get("sample_size", 100_000), seed=seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad calibrate config: {exc}")
+    return spec
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     if "n_sessions" not in cfg:
         raise ConfigError("simulate config needs 'n_sessions'")
-    spec = _market_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
-    if "calibrate" in cfg:
-        cal = cfg["calibrate"]
-        spec = calibrate(spec, cal.get("target_rate", spec.target_base_conversion),
-                         n=cal.get("sample_size", 100_000), seed=args.seed)
+    spec = _spec_from_cfg(cfg, args.seed)
     noise = None
-    if "price_noise" in cfg:
-        pn = cfg["price_noise"]
-        noise = RandomDiscountParams(
-            mean_discount=pn.get("mean_discount", 10.0),
-            std_discount=pn.get("std_discount", 6.0),
-            static_price=spec.static_price,
-        )
-    sessions = export_sessions(spec, n=int(cfg["n_sessions"]), seed=args.seed,
+    try:
+        n = int(cfg["n_sessions"])
+        if "price_noise" in cfg:
+            pn = cfg["price_noise"]
+            noise = RandomDiscountParams(
+                mean_discount=pn.get("mean_discount", 10.0),
+                std_discount=pn.get("std_discount", 6.0),
+                static_price=spec.static_price,
+            )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad simulate config: {exc}")
+    sessions = export_sessions(spec, n=n, seed=args.seed,
                                price_noise=noise, grid=grid if noise else None)
     write_sessions(sessions, args.out)
     log.info("wrote %d sessions to %s", len(sessions), args.out)
@@ -293,9 +306,9 @@ def _arm_from_doc(doc: dict, grid: PriceGrid, static_price: float,
             lg = doc.get("logistic")
             logistic = (LogisticMapParams(lg["max_price"], lg["shape"], lg["midpoint"])
                         if lg else bundle.logistic)
+            p_ref = float(doc.get("p_ref", bundle.p_ref or bundle.grid.p_max))
             policy = AppLmPolicy(model=bundle.model, schema=bundle.schema,
-                                 grid=bundle.grid, logistic=logistic,
-                                 p_ref=doc.get("p_ref", bundle.p_ref or bundle.grid.p_max),
+                                 grid=bundle.grid, logistic=logistic, p_ref=p_ref,
                                  name=name, model_version=bundle.version)
     elif kind == "app_des":
         bundle = bundle_at("checkpoint")
@@ -329,19 +342,21 @@ def _arm_from_doc(doc: dict, grid: PriceGrid, static_price: float,
 def _cmd_abtest(args) -> int:
     cfg = _load_json(args.config)
     base_dir = Path(args.config).resolve().parent
-    spec = _market_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    if "calibrate" in cfg:
-        cal = cfg["calibrate"]
-        spec = calibrate(spec, cal.get("target_rate", spec.target_base_conversion),
-                         n=cal.get("sample_size", 100_000), seed=seed)
-    static_price = float(cfg.get("static_price", spec.static_price))
+    try:
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad seed: {exc}")
+    spec = _spec_from_cfg(cfg, seed)
     if "arms" not in cfg or "days" not in cfg or "sessions_per_day" not in cfg:
         raise ConfigError("abtest config needs 'arms', 'days', and 'sessions_per_day'")
     bundles: dict[Path, PricingBundle] = {}
-    arms = tuple(_arm_from_doc(a, grid, static_price, base_dir, bundles)
-                 for a in cfg["arms"])
+    try:
+        static_price = float(cfg.get("static_price", spec.static_price))
+        arms = tuple(_arm_from_doc(a, grid, static_price, base_dir, bundles)
+                     for a in cfg["arms"])
+    except (KeyError, TypeError, ValueError) as exc:  # e.g. a value a policy refuses
+        raise ConfigError(f"bad arm config: {exc}")
     try:
         config = AbConfig(
             arms=arms,
@@ -376,14 +391,7 @@ def _cmd_recommend(args) -> int:
         raise ConfigError(f"--session is not valid JSON: {exc.msg}")
     session = session_from_dict(obj, line=1)
     quote = bundle.policy().quote(session, np.random.default_rng(0))
-    out = {
-        "recommended_price": quote.recommended_price,
-        "policy": quote.policy_tag.value,
-        "model_version": quote.model_version,
-    }
-    if quote.purchase_prob_estimate is not None:
-        out["purchase_prob"] = quote.purchase_prob_estimate
-    print(json.dumps(out, sort_keys=True))
+    print(json.dumps(quote.to_dict(), sort_keys=True))
     return 0
 
 

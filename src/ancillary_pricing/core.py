@@ -198,6 +198,18 @@ class Quote:
         if self.expected_revenue_estimate is not None and self.expected_revenue_estimate < 0:
             raise ValueError("expected revenue estimate must be non-negative")
 
+    def to_dict(self) -> dict:
+        """The reply of ``recommend`` and ``POST /v1/price``, in this key order;
+        ``purchase_prob`` only when the policy estimates one."""
+        out = {
+            "recommended_price": self.recommended_price,
+            "policy": self.policy_tag.value,
+            "model_version": self.model_version,
+        }
+        if self.purchase_prob_estimate is not None:
+            out["purchase_prob"] = self.purchase_prob_estimate
+        return out
+
 
 class DemandModel(Protocol):
     """Purchase-probability estimator f(x, P) in [0, 1].

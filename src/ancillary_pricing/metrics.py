@@ -283,6 +283,16 @@ def arm_row_from_outcomes(outcomes: Sequence[OfferOutcome],
     )
 
 
+def arm_rows_from_outcomes(arm_outcomes: Mapping[str, Sequence[OfferOutcome]],
+                           baseline_arm: str | None = None) -> dict[str, ArmRow]:
+    """One row per arm that made offers. Revenue per offer is normalized by
+    the baseline arm's, when that arm made offers."""
+    baseline = arm_outcomes.get(baseline_arm)
+    baseline_rpo = revenue_per_offer(baseline) if baseline else None
+    return {name: arm_row_from_outcomes(outs, baseline_rpo)
+            for name, outs in arm_outcomes.items() if outs}
+
+
 def build_report(policies: Mapping[str, object], sessions: Sequence,
                  seed: int, dataset_id: str = "unnamed",
                  arm_outcomes: Mapping[str, Sequence[OfferOutcome]] | None = None,
@@ -296,14 +306,5 @@ def build_report(policies: Mapping[str, object], sessions: Sequence,
         name: model_row_from_records(records_for_policy(policy, sessions, seed))
         for name, policy in policies.items()
     }
-    arm_rows: dict[str, ArmRow] = {}
-    if arm_outcomes:
-        baseline_rpo = None
-        if baseline_arm is not None and baseline_arm in arm_outcomes:
-            baseline_rpo = revenue_per_offer(arm_outcomes[baseline_arm])
-        arm_rows = {
-            name: arm_row_from_outcomes(outs, baseline_rpo)
-            for name, outs in arm_outcomes.items()
-        }
-    return MetricReport(seed=seed, dataset_id=dataset_id,
-                        model_rows=model_rows, arm_rows=arm_rows)
+    return MetricReport(seed=seed, dataset_id=dataset_id, model_rows=model_rows,
+                        arm_rows=arm_rows_from_outcomes(arm_outcomes or {}, baseline_arm))

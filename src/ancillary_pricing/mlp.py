@@ -1,8 +1,10 @@
 """Small from-scratch multilayer perceptron.
 
 Rectifier hidden layers, a single sigmoid output unit, inverted dropout,
-and plain SGD with a decaying learning rate. Gradients are verified
-against central finite differences by ``grad_check``.
+and plain SGD with a decaying learning rate. ``sgd_train`` is the one
+training loop: APP-DES and DNN-CL differ only in the loss they pass it,
+and ``grad_check`` verifies that loss's gradient through the same
+forward-loss-backward step against central finite differences.
 """
 
 from __future__ import annotations
@@ -181,6 +183,55 @@ def weighted_ce_loss(p, y, pos_weight: float = 1.0):
     return loss, dloss_dp
 
 
+def _loss_and_grads(model: MlpModel, inputs: np.ndarray, loss_fn: Callable, *,
+                    dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
+    """Forward, loss and backward for one batch: the per-sample loss vector
+    and the gradients of its mean. ``loss_fn`` maps the output vector to
+    (per-sample loss, d loss/d output); dropout needs ``rng``."""
+    acts, masks = _forward_cached(model, inputs, train=True,
+                                  dropout_rate=dropout_rate, rng=rng)
+    loss_vec, dloss_dout = loss_fn(acts[-1][:, 0])
+    grads_w, grads_b = _backward(model, acts, masks,
+                                 np.asarray(dloss_dout, dtype=float) / len(inputs))
+    return loss_vec, grads_w, grads_b
+
+
+def sgd_train(inputs: np.ndarray, labels: np.ndarray, hidden: Sequence[int],
+              config: TrainConfig, loss_for: Callable) -> tuple[MlpModel, list[float]]:
+    """Mini-batch SGD on the mean of a per-sample loss; both networks train here.
+
+    ``loss_for(batch_labels)`` gives the batch's ``loss_fn`` in the form
+    ``grad_check`` verifies. Initialization derives from ``config.seed``,
+    shuffling and dropout from a separate ``[seed, 1]`` stream, so identical
+    configs yield bit-identical weights. Returns the model and the mean
+    loss of each epoch.
+    """
+    model = init_mlp([inputs.shape[1], *hidden, 1], seed=config.seed)
+    rng = np.random.default_rng([config.seed, 1])  # separate stream from init
+    n = len(labels)
+    step = 0
+    trace: list[float] = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            loss_vec, grads_w, grads_b = _loss_and_grads(
+                model, inputs[idx], loss_for(labels[idx]),
+                dropout_rate=config.dropout_rate, rng=rng)
+            batch_loss = float(loss_vec.sum())
+            if not np.isfinite(batch_loss):
+                raise NonFiniteLoss(f"non-finite loss at epoch {epoch}, step {step}")
+            epoch_loss += batch_loss
+            lr = learning_rate_at(config, step)
+            for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
+                w -= lr * gw
+                b -= lr * gb
+            step += 1
+        trace.append(epoch_loss / n)
+    return model, trace
+
+
 @dataclass(frozen=True)
 class AppTrainResult:
     model: MlpModel
@@ -193,8 +244,7 @@ def train_app(train: EncodedDataset, hidden: Sequence[int] = (64, 32),
     """Train the purchase-probability network on features plus price.
 
     The offered price (normalized by p_max) is appended as the last input
-    column. Shuffling, dropout, and initialization all derive from
-    ``config.seed``, so identical configs yield bit-identical weights.
+    column; the loss is ``weighted_ce_loss`` under ``sgd_train``.
     """
     y = train.labels.astype(float)
     n1 = int(train.labels.sum())
@@ -203,32 +253,11 @@ def train_app(train: EncodedDataset, hidden: Sequence[int] = (64, 32),
         raise SingleClassDataset("training data must contain both classes")
     pos_weight = config.pos_weight if config.pos_weight is not None else n0 / n1
 
-    inputs = np.column_stack([train.features, train.prices / train.p_max])
-    model = init_mlp([inputs.shape[1], *hidden, 1], seed=config.seed)
-    rng = np.random.default_rng([config.seed, 1])  # separate stream from init
+    def loss_for(yb: np.ndarray) -> Callable:
+        return lambda out: weighted_ce_loss(out, yb, pos_weight)
 
-    step = 0
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(y))
-        epoch_loss = 0.0
-        for start in range(0, len(y), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = inputs[idx], y[idx]
-            acts, masks = _forward_cached(model, xb, train=True,
-                                          dropout_rate=config.dropout_rate, rng=rng)
-            loss_vec, dloss_dp = weighted_ce_loss(acts[-1][:, 0], yb, pos_weight)
-            batch_loss = float(loss_vec.sum())
-            if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(f"non-finite loss at epoch {epoch}, step {step}")
-            epoch_loss += batch_loss
-            grads_w, grads_b = _backward(model, acts, masks, dloss_dp / len(idx))
-            lr = learning_rate_at(config, step)
-            for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-                w -= lr * gw
-                b -= lr * gb
-            step += 1
-        trace.append(epoch_loss / len(y))
+    inputs = np.column_stack([train.features, train.prices / train.p_max])
+    model, trace = sgd_train(inputs, y, hidden, config, loss_for)
     return AppTrainResult(model=model, epoch_mean_loss=trace, pos_weight=pos_weight)
 
 
@@ -275,15 +304,10 @@ def grad_check(model: MlpModel, loss_fn: Callable, inputs: np.ndarray,
     falls back to absolute error.
     """
     arr = np.atleast_2d(np.asarray(inputs, dtype=float))
-    n = len(arr)
-
-    acts, masks = _forward_cached(model, arr, train=False, dropout_rate=0.0, rng=None)
-    _, dloss_dout = loss_fn(acts[-1][:, 0])
-    grads_w, grads_b = _backward(model, acts, masks, np.asarray(dloss_dout, dtype=float) / n)
+    _, grads_w, grads_b = _loss_and_grads(model, arr, loss_fn)
 
     def total_loss() -> float:
-        out, _ = _forward_cached(model, arr, train=False, dropout_rate=0.0, rng=None)
-        loss_vec, _ = loss_fn(out[-1][:, 0])
+        loss_vec, _ = loss_fn(forward(model, arr))
         return float(np.mean(loss_vec))
 
     worst = 0.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .pricing_net import DnnClModel, recommend_price
 # it bounds the memory of a batch (an (n, grid, features) tensor for APP-DES)
 # while leaving each arm enough sessions to amortize the per-call cost.
 QUOTE_BLOCK = 256
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,6 @@ def logistic_map(prob: float, params: LogisticMapParams, grid: PriceGrid) -> flo
     """Map a purchase probability to a price, clamped into the grid range."""
     raw = params.max_price / (1.0 + math.exp(-params.shape * (prob - params.midpoint)))
     return grid.clamp(raw)
-
-
-def expected_revenue(model: DemandModel, features: np.ndarray, price: float) -> float:
-    if price <= 0:
-        raise ValueError("price must be positive")
-    return price * model.predict_proba(features, price)
 
 
 def des_recommend(model: DemandModel, features: np.ndarray, grid: PriceGrid,
@@ -118,11 +114,12 @@ def _app_lm_quote(prob: float, params: LogisticMapParams, grid: PriceGrid,
     )
 
 
-def epsilon_greedy(eps: float, u: float, price_explore: float, price_exploit: float) -> float:
-    """Exploration branch when the uniform draw u falls below eps."""
+def epsilon_greedy(eps: float, u: float, explore: T, exploit: T) -> T:
+    """The exploration branch (a price or a quote) when the uniform draw u
+    falls below eps, else the exploitation branch."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    return price_explore if u < eps else price_exploit
+    return explore if u < eps else exploit
 
 
 def random_discount(params: RandomDiscountParams, gauss: float, grid: PriceGrid) -> float:
@@ -225,6 +222,10 @@ class AppLmPolicy:
     name: str = "APP-LM"
     model_version: str = "dev"
 
+    def __post_init__(self):
+        if not (math.isfinite(self.p_ref) and self.p_ref > 0):
+            raise ValueError(f"p_ref must be positive and finite, got {self.p_ref}")
+
     def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
         x = encode(session, self.schema).values
         q = app_lm_recommend(self.model, x, self.p_ref, self.logistic, self.grid,
@@ -316,11 +317,9 @@ class EpsilonGreedyPolicy:
         return [self._choose(*args) for args in zip(us, explore, exploit)]
 
     def _choose(self, u: float, q_explore: Quote, q_exploit: Quote) -> Quote:
-        price = epsilon_greedy(self.eps, u, q_explore.recommended_price,
-                               q_exploit.recommended_price)
-        chosen = q_explore if u < self.eps else q_exploit
+        chosen = epsilon_greedy(self.eps, u, q_explore, q_exploit)
         return Quote(
-            recommended_price=price,
+            recommended_price=chosen.recommended_price,
             policy_tag=PolicyTag.EPS_GREEDY,
             purchase_prob_estimate=chosen.purchase_prob_estimate,
             model_version=chosen.model_version,
@@ -330,28 +329,13 @@ class EpsilonGreedyPolicy:
         return self.exploit.score(session)
 
 
-def snap_quote_to_grid(quote: Quote, grid: PriceGrid) -> Quote:
-    """Replace the quoted price by its nearest grid point."""
-    idx = snap_to_grid(quote.recommended_price, grid)
-    return Quote(
-        recommended_price=grid.prices[idx],
-        policy_tag=quote.policy_tag,
-        purchase_prob_estimate=quote.purchase_prob_estimate,
-        expected_revenue_estimate=quote.expected_revenue_estimate,
-        model_version=quote.model_version,
-    )
-
-
 def quote_all(policy: PricingPolicy, sessions: Sequence[SessionRecord],
               rngs: Sequence[np.random.Generator]) -> list[Quote]:
-    """``policy.quote_batch``, or one ``quote`` per session for a policy
-    that implements only ``quote``."""
+    """``policy.quote_batch(sessions, rngs)``; a batch that gives another
+    number of quotes than sessions raises ``ValueError``."""
     if not sessions:
         return []
-    batch = getattr(policy, "quote_batch", None)
-    if batch is None:
-        return [policy.quote(s, rng) for s, rng in zip(sessions, rngs)]
-    quotes = batch(sessions, rngs)
+    quotes = policy.quote_batch(sessions, rngs)
     if len(quotes) != len(sessions):
         raise ValueError(f"{type(policy).__name__}.quote_batch gave {len(quotes)} quotes "
                          f"for {len(sessions)} sessions")

@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import EncodedDataset, PolicyTag, PriceGrid, Quote, snap_to_grid
-from .errors import NonFiniteLoss
-from .mlp import MlpModel, TrainConfig, _backward, _forward_cached, forward, init_mlp
+from .mlp import MlpModel, TrainConfig, forward, sgd_train
 
 
 def wtp_factor(j: int, j_star: int, y: int) -> float:
@@ -187,48 +186,22 @@ def train_dnncl(train: EncodedDataset, grid: PriceGrid,
                 hidden: Sequence[int] = (64, 32),
                 config: TrainConfig = TrainConfig(),
                 c1: float = 0.8, c2: float = 1.2) -> DnnClTrainResult:
-    """SGD on the mean hinge loss over mini-batches.
+    """SGD on the mean hinge loss, ``custom_loss_on_output`` under ``sgd_train``.
 
     The gradient chains through the sigmoid price head; snapping and the
     active set are constant within a step. Deterministic per seed. Both
     labels need not be present (single-label toy runs are legitimate).
     """
-    labels = train.labels
-    feats = train.features
-    span = grid.p_max - grid.p_min
-    mlp_model = init_mlp([feats.shape[1], *hidden, 1], seed=config.seed)
-    rng = np.random.default_rng([config.seed, 1])
-
-    step = 0
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(labels))
-        epoch_loss = 0.0
-        for start in range(0, len(labels), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            acts, masks = _forward_cached(mlp_model, feats[idx], train=True,
-                                          dropout_rate=config.dropout_rate, rng=rng)
-            raw = grid.p_min + acts[-1][:, 0] * span
-            loss_vec, dloss_draw = _batch_loss(raw, labels[idx], grid, c1, c2)
-            batch_loss = float(loss_vec.sum())
-            if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(f"non-finite loss at epoch {epoch}, step {step}")
-            epoch_loss += batch_loss
-            grads_w, grads_b = _backward(mlp_model, acts, masks,
-                                         dloss_draw * span / len(idx))
-            lr = config.learning_rate / (1.0 + config.decay * step)
-            for w, b, gw, gb in zip(mlp_model.weights, mlp_model.biases, grads_w, grads_b):
-                w -= lr * gw
-                b -= lr * gb
-            step += 1
-        trace.append(epoch_loss / len(labels))
+    mlp_model, trace = sgd_train(train.features, train.labels, hidden, config,
+                                 lambda yb: custom_loss_on_output(grid, yb, c1, c2))
     model = DnnClModel(mlp=mlp_model, grid=grid, c1=c1, c2=c2)
     return DnnClTrainResult(model=model, epoch_mean_loss=trace)
 
 
 def custom_loss_on_output(grid: PriceGrid, labels: np.ndarray, c1: float,
                           c2: float) -> Callable:
-    """Adapter turning the hinge loss into a grad_check-compatible loss_fn.
+    """Adapter turning the hinge loss into a loss_fn of network outputs, the
+    form ``grad_check`` verifies and ``sgd_train`` trains on.
 
     Maps sigmoid outputs to raw prices internally and chains the price-span
     factor into the returned derivative.

@@ -131,14 +131,7 @@ class _Handler(BaseHTTPRequestHandler):
             except SchemaMismatch as exc:
                 self._reply(422, {"error": str(exc)})
                 return
-            body = {
-                "recommended_price": quote.recommended_price,
-                "policy": quote.policy_tag.value,
-                "model_version": quote.model_version,
-            }
-            if quote.purchase_prob_estimate is not None:
-                body["purchase_prob"] = quote.purchase_prob_estimate
-            self._reply(200, body)
+            self._reply(200, quote.to_dict())
         except Exception:
             error_id = uuid.uuid4().hex
             log.exception("request %s failed", error_id)

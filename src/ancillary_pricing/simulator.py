@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import PriceGrid, SessionRecord
 from .errors import CalibrationDiverged
-from .metrics import MetricReport, OfferOutcome, arm_row_from_outcomes
+from .metrics import MetricReport, OfferOutcome, arm_rows_from_outcomes
 from .policies import (
     QUOTE_BLOCK,
     PricingPolicy,
@@ -327,16 +327,10 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
             daily[n].append(DayStats(day=day, offers=offers, purchases=purchases,
                                      revenue=revenue))
 
-    baseline = config.baseline_arm if config.baseline_arm in outcomes else None
-    baseline_rpo = None
-    if baseline is not None and outcomes[baseline]:
-        baseline_rpo = (sum(o.price * o.purchased for o in outcomes[baseline])
-                        / len(outcomes[baseline]))
     report = MetricReport(
         seed=config.seed,
         dataset_id=f"abtest-days{config.days}-spd{config.sessions_per_day}",
-        arm_rows={n: arm_row_from_outcomes(outcomes[n], baseline_rpo)
-                  for n in names if outcomes[n]},
+        arm_rows=arm_rows_from_outcomes(outcomes, config.baseline_arm),
     )
     return AbResult(daily=daily, outcomes=outcomes, report=report)
 

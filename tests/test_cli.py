@@ -239,6 +239,53 @@ def test_abtest_bad_arm_config_is_data_error(workdir, tmp_path):
                 str(tmp_path / "o.json")]) == 2
 
 
+def _with_arm(**arm) -> dict:
+    """abtest config entries: a HUMAN arm plus ``arm`` as the second arm."""
+    return {"arms": [{"name": "A", "policy": "human", "split": 0.5},
+                     {"name": "B", "split": 0.5, **arm}]}
+
+
+_APP_LM = {"policy": "app_lm", "checkpoint": "gnb.ckpt.json"}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("abtest", _with_arm(policy="epsilon_greedy", epsilon=2,
+                         explore_checkpoint="gnb.ckpt.json",
+                         exploit_checkpoint="app-dnn.ckpt.json")),
+    ("abtest", _with_arm(policy="human", price=999)),
+    ("abtest", _with_arm(policy="human", split="x")),
+    ("abtest", _with_arm(policy="random_discount", std_discount=-1)),
+    ("abtest", _with_arm(**_APP_LM, logistic={"max_price": -1, "shape": 12.0,
+                                              "midpoint": 0.35})),
+    ("abtest", _with_arm(**_APP_LM, logistic={"shape": 12.0})),
+    ("abtest", _with_arm(**_APP_LM, p_ref="abc")),
+    ("abtest", _with_arm(**_APP_LM, p_ref=-5)),
+    ("abtest", {**_with_arm(policy="human"), "seed": "x"}),
+    ("simulate", {"n_sessions": "abc"}),
+    ("simulate", {"price_noise": {"std_discount": -1}}),
+    ("simulate", {"calibrate": {"target_rate": "x"}}),
+])
+def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, capsys,
+                                                          command, doc):
+    """``doc`` overrides entries of a valid abtest or simulate config."""
+    base = SIM_CFG if command == "simulate" else {
+        "market": "default", "grid": SIM_CFG["grid"], "days": 1, "sessions_per_day": 10}
+    cfg = {**base, **doc}
+    if "arms" in cfg:  # checkpoint names resolve in the module's work directory
+        cfg["arms"] = [{k: str(workdir / v) if k.endswith("checkpoint") else v
+                        for k, v in arm.items()} for arm in cfg["arms"]]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_train_bad_p_ref_is_data_error(workdir, tmp_path):
+    assert cli(["train", "--model", "gnb", "--data", str(workdir / "train.jsonl"),
+                "--out", str(tmp_path / "gnb.ckpt.json"), "--grid", GRID_ARG,
+                "--p-ref", "-5"]) == 2
+
+
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -0.2])
 def test_simulate_bad_sub_market_weight_is_data_error(tmp_path, weight):
     market = market_spec_to_doc(default_market_spec())

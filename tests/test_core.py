@@ -209,6 +209,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             Quote(recommended_price=-1.0, policy_tag=PolicyTag.HUMAN)
 
+    def test_quote_to_dict_keeps_the_reply_key_order(self):
+        q = Quote(recommended_price=30.0, policy_tag=PolicyTag.APP_LM,
+                  purchase_prob_estimate=0.25, model_version="gnb:abc")
+        assert list(q.to_dict().items()) == [
+            ("recommended_price", 30.0), ("policy", "APP_LM"),
+            ("model_version", "gnb:abc"), ("purchase_prob", 0.25)]
+        bare = Quote(recommended_price=30.0, policy_tag=PolicyTag.HUMAN)
+        assert list(bare.to_dict()) == ["recommended_price", "policy", "model_version"]
+
     def test_feature_vector_rejects_nan(self):
         with pytest.raises(ValueError):
             FeatureVector(values=np.array([1.0, np.nan]), schema_hash="x")

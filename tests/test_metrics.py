@@ -197,6 +197,9 @@ class _ScoredPolicy:
         from ancillary_pricing.policies import static_price
         return static_price(session.price_offered * 0.9)
 
+    def quote_batch(self, sessions, rngs):
+        return [self.quote(s, rng) for s, rng in zip(sessions, rngs)]
+
     def score(self, session):
         return self._scores[session.session_id]
 
@@ -249,6 +252,16 @@ class TestBuildReport:
                               arm_outcomes=outcomes, baseline_arm="H")
         again = MetricReport.from_dict(report.to_dict())
         assert again == report
+
+    def test_arm_without_offers_gets_no_row(self, make_session, grid3):
+        sessions = [make_session(session_id="s0", purchased=1)]
+        policy = StaticPricePolicy(price=20.0, grid=grid3)
+        outcomes = {"H": [], "B": [OfferOutcome(20.0, 1), OfferOutcome(20.0, 0)]}
+        report = build_report({"H": policy}, sessions, seed=1,
+                              arm_outcomes=outcomes, baseline_arm="H")
+        assert set(report.arm_rows) == {"B"}
+        assert report.arm_rows["B"].revenue_per_offer == 10.0
+        assert report.arm_rows["B"].revenue_per_offer_normalized is None
 
 
 def test_model_row_from_records_handles_all_absent():

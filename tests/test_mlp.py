@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from ancillary_pricing.core import EncodedDataset
+from ancillary_pricing.core import EncodedDataset, PriceGrid
 from ancillary_pricing.errors import BadArchitecture, DimensionMismatch, SingleClassDataset
 from ancillary_pricing.metrics import auc_roc
 from ancillary_pricing.mlp import (
@@ -16,6 +17,7 @@ from ancillary_pricing.mlp import (
     train_app,
     weighted_ce_loss,
 )
+from ancillary_pricing.pricing_net import train_dnncl
 
 
 class TestInit:
@@ -218,3 +220,34 @@ class TestGradCheck:
             return np.ones_like(out), np.zeros_like(out)
 
         assert grad_check(model, loss_fn, inputs, step=1e-5) == 0.0
+
+
+# SHA-256 of the weights, biases and epoch losses that ``_training_digest``
+# trains, as computed by the two training loops that ``sgd_train`` replaced:
+# the shared trainer must keep every bit, dropout draws and pos_weight included.
+TRAINING_DIGEST = "985245982ea2680c40f6763ca214136035644c2bd0feb37b6e13abdd1dfc144e"
+
+
+def _training_digest() -> str:
+    grid = PriceGrid((30.0, 35.0, 40.0, 45.0, 50.0))
+    h = hashlib.sha256()
+    for seed in range(4):
+        train = _toy_separable(n=130, seed=seed)
+        train = EncodedDataset(features=train.features,
+                               prices=np.linspace(30.0, 50.0, train.n),
+                               labels=train.labels, p_max=50.0)
+        for config in (TrainConfig(epochs=4, seed=seed),
+                       TrainConfig(epochs=4, seed=seed, dropout_rate=0.3,
+                                   batch_size=50, decay=0.01),
+                       TrainConfig(epochs=4, seed=seed, pos_weight=2.5)):
+            app = train_app(train, hidden=(8, 4), config=config)
+            cl = train_dnncl(train, grid, hidden=(8, 4), config=config)
+            for model, trace in ((app.model, app.epoch_mean_loss),
+                                 (cl.model.mlp, cl.epoch_mean_loss)):
+                for arr in (*model.weights, *model.biases, np.array(trace)):
+                    h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_trained_weights_are_pinned():
+    assert _training_digest() == TRAINING_DIGEST

@@ -16,10 +16,8 @@ from ancillary_pricing.policies import (
     app_lm_recommend,
     des_recommend,
     epsilon_greedy,
-    expected_revenue,
     logistic_map,
     random_discount,
-    snap_quote_to_grid,
     static_price,
 )
 
@@ -73,17 +71,6 @@ class TestLogisticMap:
         params = LogisticMapParams(max_price=50.0, shape=10.0, midpoint=0.5)
         assert logistic_map(0.0, params, grid3) == grid3.p_min
         assert logistic_map(1.0, params, grid3) == grid3.p_max
-
-
-class TestExpectedRevenue:
-    def test_zero_prob(self):
-        assert expected_revenue(ConstProb(0.0), np.zeros(1), 15.0) == 0.0
-
-    def test_certain_purchase(self):
-        assert expected_revenue(ConstProb(1.0), np.zeros(1), 30.0) == 30.0
-
-    def test_product(self):
-        assert expected_revenue(ConstProb(0.6), np.zeros(1), 10.0) == pytest.approx(6.0)
 
 
 def _brute_force_best(prices, probs):
@@ -252,9 +239,3 @@ class TestPolicyAdapters:
         assert q1.policy_tag is PolicyTag.EPS_GREEDY
         assert q1.recommended_price > q2.recommended_price
         assert q2.recommended_price == 10.0
-
-    def test_snap_quote(self, grid3):
-        quote = static_price(14.9)
-        snapped = snap_quote_to_grid(quote, grid3)
-        assert snapped.recommended_price == 10.0
-        assert snapped.policy_tag is PolicyTag.HUMAN
