@@ -16,6 +16,7 @@ import json
 import time
 from pathlib import Path
 
+from ancillary_pricing.codec import to_doc
 from ancillary_pricing.core import encode_dataset, fit_schema
 from ancillary_pricing.gnb import fit_gnb, fit_gnbc
 from ancillary_pricing.metrics import build_report
@@ -119,14 +120,7 @@ def main() -> None:
     print()
     print(ab.report.render_text())
 
-    doc = {
-        "report": ab.report.to_dict(),
-        "daily": {
-            arm: [{"day": d.day, "offers": d.offers, "purchases": d.purchases,
-                   "revenue": d.revenue} for d in series]
-            for arm, series in ab.daily.items()
-        },
-    }
+    doc = to_doc({"report": ab.report, "daily": ab.daily})
     (args.out_dir / "abtest.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
     print(f"artifacts in {args.out_dir}/ ({time.time() - t0:.0f}s total)")
 

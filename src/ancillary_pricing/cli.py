@@ -12,26 +12,26 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import PricingBundle, load_checkpoint, save_checkpoint
+from .codec import from_doc, to_doc
 from .core import PriceGrid, encode_dataset, fit_schema
 from .errors import ConfigError, PricingError
 from .gnb import fit_gnb, fit_gnbc
 from .metrics import build_report
 from .mlp import MlpDemandModel, TrainConfig, train_app
 from .policies import (
-    AppDesPolicy,
-    AppLmPolicy,
     EpsilonGreedyPolicy,
     LogisticMapParams,
     RandomDiscountParams,
     RandomDiscountPolicy,
     StaticPricePolicy,
 )
-from .pricing_net import train_dnncl
+from .pricing_net import check_multipliers, train_dnncl
 from .service import serve as build_service
 from .session_io import read_sessions, session_from_dict, write_sessions
 from .simulator import (
@@ -217,6 +217,16 @@ def _default_grid_from_data(sessions) -> PriceGrid:
 
 
 def _cmd_train(args) -> int:
+    try:  # settings first: a bad one must not cost a read or a training run
+        config = TrainConfig(learning_rate=args.lr, decay=args.decay,
+                             batch_size=args.batch_size, epochs=args.epochs,
+                             dropout_rate=args.dropout, seed=args.seed)
+        if args.model == "dnn-cl":
+            check_multipliers(args.c1, args.c2)
+        if args.model == "gnbc" and args.k < 1:
+            raise ValueError(f"--k must be at least 1, got {args.k}")
+    except ValueError as exc:
+        raise ConfigError(f"bad train settings: {exc}")
     sessions = read_sessions(args.data)
     if not sessions:
         raise ConfigError("training data is empty")
@@ -229,9 +239,6 @@ def _cmd_train(args) -> int:
     logistic = args.logistic or LogisticMapParams(max_price=grid.p_max, shape=12.0,
                                                   midpoint=0.35)
     p_ref = args.p_ref if args.p_ref is not None else grid.p_max
-    config = TrainConfig(learning_rate=args.lr, decay=args.decay,
-                         batch_size=args.batch_size, epochs=args.epochs,
-                         dropout_rate=args.dropout, seed=args.seed)
 
     if args.model == "gnb":
         bundle = PricingBundle("gnb", schema, grid, fit_gnb(dataset),
@@ -297,42 +304,19 @@ def _arm_from_doc(doc: dict, grid: PriceGrid, static_price: float,
                                       std_discount=doc.get("std_discount", 6.0),
                                       static_price=doc.get("price", static_price))
         policy = RandomDiscountPolicy(params=params, grid=grid, name=name)
-    elif kind == "app_lm":
-        bundle = bundle_at("checkpoint")
-        if bundle.model_type not in ("gnb", "gnbc"):
-            raise ConfigError(f"arm {name!r}: app_lm needs a gnb or gnbc checkpoint")
-        policy = bundle.policy(name=name)
-        if "logistic" in doc or "p_ref" in doc:
-            lg = doc.get("logistic")
-            logistic = (LogisticMapParams(lg["max_price"], lg["shape"], lg["midpoint"])
-                        if lg else bundle.logistic)
-            p_ref = float(doc.get("p_ref", bundle.p_ref or bundle.grid.p_max))
-            policy = AppLmPolicy(model=bundle.model, schema=bundle.schema,
-                                 grid=bundle.grid, logistic=logistic, p_ref=p_ref,
-                                 name=name, model_version=bundle.version)
-    elif kind == "app_des":
-        bundle = bundle_at("checkpoint")
-        if not hasattr(bundle.model, "predict_proba_grid"):
-            raise ConfigError(f"arm {name!r}: app_des needs a demand-model checkpoint")
-        policy = AppDesPolicy(model=bundle.model, schema=bundle.schema, grid=bundle.grid,
-                              name=name, model_version=bundle.version)
-    elif kind == "dnn_cl":
-        bundle = bundle_at("checkpoint")
-        if bundle.model_type != "dnn_cl":
-            raise ConfigError(f"arm {name!r}: dnn_cl needs a dnn_cl checkpoint")
-        policy = bundle.policy(name=name)
+    elif kind in ("app_lm", "app_des", "dnn_cl"):
+        policy = bundle_at("checkpoint").policy(name=name, kind=kind)
+        if kind == "app_lm":  # the arm may override the checkpoint's price map
+            overrides = {}
+            if doc.get("logistic"):
+                overrides["logistic"] = from_doc(LogisticMapParams, doc["logistic"])
+            if "p_ref" in doc:
+                overrides["p_ref"] = float(doc["p_ref"])
+            policy = replace(policy, **overrides)
     elif kind == "epsilon_greedy":
-        explore_bundle = bundle_at("explore_checkpoint")
-        if explore_bundle.model_type not in ("gnb", "gnbc"):
-            raise ConfigError(f"arm {name!r}: exploration needs a gnb or gnbc checkpoint")
-        exploit_bundle = bundle_at("exploit_checkpoint")
-        if not hasattr(exploit_bundle.model, "predict_proba_grid"):
-            raise ConfigError(f"arm {name!r}: exploitation needs a demand-model checkpoint")
-        exploit = AppDesPolicy(model=exploit_bundle.model, schema=exploit_bundle.schema,
-                               grid=exploit_bundle.grid, name=f"{name}-exploit",
-                               model_version=exploit_bundle.version)
-        policy = EpsilonGreedyPolicy(eps=doc.get("epsilon", 0.3),
-                                     explore=explore_bundle.policy(name=f"{name}-explore"),
+        explore = bundle_at("explore_checkpoint").policy(name=f"{name}-explore", kind="app_lm")
+        exploit = bundle_at("exploit_checkpoint").policy(name=f"{name}-exploit", kind="app_des")
+        policy = EpsilonGreedyPolicy(eps=doc.get("epsilon", 0.3), explore=explore,
                                      exploit=exploit, name=name)
     else:
         raise ConfigError(f"unknown policy kind {kind!r} for arm {name!r}")
@@ -369,14 +353,7 @@ def _cmd_abtest(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     result = run_abtest(spec, config)
-    doc = {
-        "report": result.report.to_dict(),
-        "daily": {
-            arm: [{"day": d.day, "offers": d.offers, "purchases": d.purchases,
-                   "revenue": d.revenue} for d in series]
-            for arm, series in result.daily.items()
-        },
-    }
+    doc = to_doc({"report": result.report, "daily": result.daily})
     Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
                               encoding="utf-8")
     sys.stdout.write(result.report.render_text())

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .codec import to_doc
 from .errors import EmptyInput, NoPurchases, SingleClassInput, UndefinedMetric
 from .policies import QUOTE_BLOCK, quote_all
 
@@ -148,52 +149,17 @@ class ArmRow:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Deterministic evaluation document; absent metrics stay None.
-
-    ``generated_at`` is only set when a caller passes a timestamp
-    explicitly, so identical inputs produce byte-identical reports.
-    """
+    """Deterministic evaluation document; absent metrics stay None, so
+    identical inputs produce byte-identical reports. It is written with
+    ``codec.to_doc`` and read back with ``codec.from_doc``."""
 
     seed: int
     dataset_id: str
     model_rows: dict[str, ModelRow] = field(default_factory=dict)
     arm_rows: dict[str, ArmRow] = field(default_factory=dict)
-    generated_at: str | None = None
-
-    def to_dict(self) -> dict:
-        doc: dict = {
-            "seed": self.seed,
-            "dataset_id": self.dataset_id,
-            "model_rows": {
-                name: {"auc": r.auc, "regret": r.regret, "pdr": r.pdr,
-                       "pdp": r.pdp, "pdf1": r.pdf1}
-                for name, r in self.model_rows.items()
-            },
-            "arm_rows": {
-                name: {"offers": r.offers, "purchases": r.purchases,
-                       "conversion": r.conversion,
-                       "revenue_per_offer": r.revenue_per_offer,
-                       "revenue_per_session": r.revenue_per_session,
-                       "revenue_per_offer_normalized": r.revenue_per_offer_normalized}
-                for name, r in self.arm_rows.items()
-            },
-        }
-        if self.generated_at is not None:
-            doc["generated_at"] = self.generated_at
-        return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @staticmethod
-    def from_dict(doc: dict) -> "MetricReport":
-        return MetricReport(
-            seed=doc["seed"],
-            dataset_id=doc["dataset_id"],
-            model_rows={name: ModelRow(**row) for name, row in doc["model_rows"].items()},
-            arm_rows={name: ArmRow(**row) for name, row in doc["arm_rows"].items()},
-            generated_at=doc.get("generated_at"),
-        )
+        return json.dumps(to_doc(self), sort_keys=True, indent=2) + "\n"
 
     def render_text(self) -> str:
         def fmt(v, width=10):

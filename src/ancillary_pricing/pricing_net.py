@@ -141,6 +141,14 @@ def _batch_loss(raw_prices: np.ndarray, labels: np.ndarray, grid: PriceGrid,
     return loss.sum(axis=1), slope.sum(axis=1)
 
 
+def check_multipliers(c1: float, c2: float) -> None:
+    """The hinge-loss bounds ``c1 * wtp`` and ``c2 * wtp`` need 0 < c1 < 1 < c2."""
+    if not 0.0 < c1 < 1.0:
+        raise ValueError(f"c1 must lie in (0, 1), got {c1}")
+    if c2 <= 1.0:
+        raise ValueError(f"c2 must exceed 1, got {c2}")
+
+
 @dataclass(frozen=True)
 class DnnClModel:
     """Trained pricing network with its grid and bound multipliers."""
@@ -151,10 +159,7 @@ class DnnClModel:
     c2: float
 
     def __post_init__(self):
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
-        if self.c2 <= 1.0:
-            raise ValueError(f"c2 must exceed 1, got {self.c2}")
+        check_multipliers(self.c1, self.c2)
 
     @property
     def n_features(self) -> int:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .codec import from_doc, to_doc
 from .core import PriceGrid, SessionRecord
 from .errors import CalibrationDiverged
 from .metrics import MetricReport, OfferOutcome, arm_rows_from_outcomes
@@ -82,7 +83,7 @@ class MarketSpec:
     dtd_max: int = 120
     los_max: int = 21
     one_way_share: float = 0.3
-    booking_class_bumps: dict = field(default_factory=lambda: dict(CLASS_WTP_BUMP))
+    booking_class_bumps: dict[str, float] = field(default_factory=lambda: dict(CLASS_WTP_BUMP))
 
     def __post_init__(self):
         if not self.sub_markets:
@@ -336,60 +337,15 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
 
 
 def market_spec_to_doc(spec: MarketSpec) -> dict:
-    return {
-        "static_price": spec.static_price,
-        "target_base_conversion": spec.target_base_conversion,
-        "dtd_max": spec.dtd_max,
-        "los_max": spec.los_max,
-        "one_way_share": spec.one_way_share,
-        "booking_class_bumps": dict(spec.booking_class_bumps),
-        "sub_markets": [
-            {
-                "name": sm.name,
-                "markets": [list(m) for m in sm.markets],
-                "weight": sm.weight,
-                "wtp_log_mean": sm.wtp_log_mean,
-                "wtp_log_std": sm.wtp_log_std,
-                "dtd_slope": sm.dtd_slope,
-                "los_window": list(sm.los_window),
-                "los_bonus": sm.los_bonus,
-                "group_slope": sm.group_slope,
-                "pcs_slope": sm.pcs_slope,
-                "popularity": sm.popularity,
-                "popularity_slope": sm.popularity_slope,
-            }
-            for sm in spec.sub_markets
-        ],
-    }
+    """The ``"market"`` object of a config; its keys are the field names of
+    ``MarketSpec`` and ``SubMarket``."""
+    return to_doc(spec)
 
 
 def market_spec_from_doc(doc: dict) -> MarketSpec:
-    subs = tuple(
-        SubMarket(
-            name=sm["name"],
-            markets=tuple((m[0], m[1]) for m in sm["markets"]),
-            weight=sm["weight"],
-            wtp_log_mean=sm["wtp_log_mean"],
-            wtp_log_std=sm["wtp_log_std"],
-            dtd_slope=sm.get("dtd_slope", 0.0),
-            los_window=tuple(sm.get("los_window", (0.05, 0.3))),
-            los_bonus=sm.get("los_bonus", 0.0),
-            group_slope=sm.get("group_slope", 0.0),
-            pcs_slope=sm.get("pcs_slope", 0.0),
-            popularity=sm.get("popularity", 0.0),
-            popularity_slope=sm.get("popularity_slope", 0.0),
-        )
-        for sm in doc["sub_markets"]
-    )
-    return MarketSpec(
-        sub_markets=subs,
-        static_price=doc["static_price"],
-        target_base_conversion=doc.get("target_base_conversion", 0.06),
-        dtd_max=doc.get("dtd_max", 120),
-        los_max=doc.get("los_max", 21),
-        one_way_share=doc.get("one_way_share", 0.3),
-        booking_class_bumps=dict(doc.get("booking_class_bumps", CLASS_WTP_BUMP)),
-    )
+    """A market spec from its config object; a missing key takes the
+    field's default, and the spec's own checks apply."""
+    return from_doc(MarketSpec, doc)
 
 
 DEFAULT_GRID = PriceGrid(tuple(float(p) for p in range(30, 52, 2)))

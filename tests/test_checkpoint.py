@@ -95,6 +95,13 @@ def test_future_version_rejected(trained, tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_that_is_not_an_object_rejected(tmp_path):
+    path = tmp_path / "list.ckpt.json"
+    path.write_text("[]")
+    with pytest.raises(ChecksumMismatch):
+        load_checkpoint(path)
+
+
 def test_loaded_version_string(trained, tmp_path):
     bundles, _, _ = trained
     path = tmp_path / "dnn.ckpt.json"

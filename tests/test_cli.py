@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -280,6 +281,76 @@ def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, cap
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("model,flags", [
+    ("app-dnn", ["--epochs", "-1"]),
+    ("app-dnn", ["--dropout", "1.5"]),
+    ("app-dnn", ["--lr", "0"]),
+    ("app-dnn", ["--batch-size", "0"]),
+    ("dnn-cl", ["--c1", "2"]),
+    ("gnbc", ["--k", "0"]),
+])
+def test_train_setting_is_checked_before_the_data_is_read(tmp_path, capsys, model, flags):
+    """The log does not exist: the settings error must come first."""
+    assert cli(["train", "--model", model, "--data", str(tmp_path / "missing.jsonl"),
+                "--out", str(tmp_path / "m.ckpt.json"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad train settings:")
+    assert "Traceback" not in err
+
+
+def test_train_checkpoints_are_pinned(workdir):
+    """SHA-256 over the four checkpoints ``train`` writes from the module's
+    log, taken from the hand-written writers the codec replaced: a change
+    to how a checkpoint is written must show here."""
+    h = hashlib.sha256()
+    for model in ("gnb", "gnbc", "app-dnn", "dnn-cl"):
+        h.update((workdir / f"{model}.ckpt.json").read_bytes())
+    assert h.hexdigest() == "bf62c768c561b69a526b5f046ca30a542fb80eb51f866edf0ece43a46f2c302c"
+
+
+def _rehash(doc: dict) -> dict:
+    """``doc`` with a checksum that verifies again, as ``save_checkpoint`` computes it."""
+    payload = {k: v for k, v in doc.items() if k != "checksum"}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return {**payload, "checksum": hashlib.sha256(blob).hexdigest()}
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _negative_max_price(doc):
+    doc["hyperparameters"]["logistic"]["max_price"] = -50.0
+
+
+def _short_array(doc):
+    doc["params"]["gnb"]["mean0"]["data"].pop()
+
+
+def _no_grid(doc):
+    del doc["grid"]
+
+
+@pytest.mark.parametrize("edit", [
+    _set("model_type", "foo"), _set("params", {}), _set("grid", [5.0]),
+    _negative_max_price, _short_array, _no_grid, _set("hyperparameters", []),
+], ids=["model-type", "empty-params", "one-point-grid", "negative-max-price",
+        "shape-not-data", "no-grid", "hyperparameters-list"])
+def test_checkpoint_that_verifies_but_does_not_decode_is_data_error(workdir, tmp_path,
+                                                                   capsys, edit):
+    doc = json.loads((workdir / "gnbc.ckpt.json").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.ckpt.json"
+    bad.write_text(json.dumps(_rehash(doc)))
+    session = session_to_dict(export_sessions(default_market_spec(), 1, seed=1)[0])
+    assert cli(["recommend", "--ckpt", str(bad), "--session", json.dumps(session)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_train_bad_p_ref_is_data_error(workdir, tmp_path):
     assert cli(["train", "--model", "gnb", "--data", str(workdir / "train.jsonl"),
                 "--out", str(tmp_path / "gnb.ckpt.json"), "--grid", GRID_ARG,
@@ -296,6 +367,18 @@ def test_simulate_bad_sub_market_weight_is_data_error(tmp_path, weight):
     cfg.write_text(json.dumps({"market": market, "n_sessions": 10}))  # NaN, Infinity
     assert cli(["simulate", "--config", str(cfg), "--out",
                 str(tmp_path / "out.jsonl")]) == 2
+
+
+@pytest.mark.parametrize("pair", ["JFK-LHR", ["JFK", "LHR", "SFO"], ["JFK"]],
+                         ids=["dash-joined", "three-codes", "one-code"])
+def test_simulate_market_pair_of_other_arity_is_data_error(tmp_path, capsys, pair):
+    market = market_spec_to_doc(default_market_spec())
+    market["sub_markets"][0]["markets"][0] = pair
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"market": market, "n_sessions": 10}))
+    assert cli(["simulate", "--config", str(cfg), "--out",
+                str(tmp_path / "out.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad market spec:")
 
 
 def test_abtest_loads_each_checkpoint_once(workdir, tmp_path, monkeypatch):

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ancillary_pricing.codec import from_doc
 from ancillary_pricing.errors import (
     EmptyInput,
     NoPurchases,
@@ -250,7 +253,7 @@ class TestBuildReport:
         outcomes = {"H": [OfferOutcome(20.0, 1), OfferOutcome(20.0, 0)]}
         report = build_report({"H": policy}, sessions, seed=1,
                               arm_outcomes=outcomes, baseline_arm="H")
-        again = MetricReport.from_dict(report.to_dict())
+        again = from_doc(MetricReport, json.loads(report.to_json()))
         assert again == report
 
     def test_arm_without_offers_gets_no_row(self, make_session, grid3):
