@@ -171,6 +171,11 @@ def _grid_from_cfg(cfg: dict) -> PriceGrid:
     return DEFAULT_GRID
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's SeedSequence refuses it
+        raise ConfigError(f"bad seed: must be non-negative, got {seed}")
+
+
 def _spec_from_cfg(cfg: dict, seed: int):
     """The config's market, calibrated when the config asks for it."""
     spec = _market_from_cfg(cfg)
@@ -185,6 +190,7 @@ def _spec_from_cfg(cfg: dict, seed: int):
 
 
 def _cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     cfg = _load_json(args.config)
     if "n_sessions" not in cfg:
         raise ConfigError("simulate config needs 'n_sessions'")
@@ -331,6 +337,7 @@ def _cmd_abtest(args) -> int:
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad seed: {exc}")
+    _check_seed(seed)
     spec = _spec_from_cfg(cfg, seed)
     if "arms" not in cfg or "days" not in cfg or "sessions_per_day" not in cfg:
         raise ConfigError("abtest config needs 'arms', 'days', and 'sessions_per_day'")

@@ -42,13 +42,18 @@ def from_doc(cls, doc, **given):
     """The ``cls`` instance that ``to_doc`` wrote as ``doc``. ``given``
     holds field values the document does not carry. A missing key takes
     the field's default; a missing required key raises ``KeyError``, a
-    value of the wrong kind ``TypeError`` and a tuple of the wrong arity
-    ``ValueError``. The class's own checks run as it is built."""
+    value of the wrong kind ``TypeError``, and a key that is no field or a
+    tuple of the wrong arity ``ValueError``. The class's own checks run as
+    it is built."""
     if not isinstance(doc, dict):
         raise TypeError(f"{cls.__name__} must be an object, got {type(doc).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = doc.keys() - {f.name for f in fields}
+    if unknown:
+        raise ValueError(f"{cls.__name__} has no field {', '.join(sorted(map(repr, unknown)))}")
     hints = _hints(cls)
     kwargs = dict(given)
-    for f in dataclasses.fields(cls):
+    for f in fields:
         if f.name in given:
             continue
         if f.name in doc:

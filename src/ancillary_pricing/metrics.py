@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .codec import to_doc
 from .errors import EmptyInput, NoPurchases, SingleClassInput, UndefinedMetric
 from .policies import QUOTE_BLOCK, quote_all
+from .streams import streams
 
 
 @dataclass(frozen=True)
@@ -188,14 +190,15 @@ class MetricReport:
 
 
 def records_for_policy(policy, sessions, seed: int) -> list[EvalRecord]:
-    """Quote every session under a fixed per-session random stream, in one
-    ``quote_batch`` call per block of ``QUOTE_BLOCK`` sessions."""
+    """Quote every session under a fixed per-session random stream (spawn
+    key 3 of ``streams``), in one ``quote_batch`` call per block of
+    ``QUOTE_BLOCK`` sessions."""
     records = []
+    rngs = streams(seed, 3, 0, len(sessions))
     for start in range(0, len(sessions), QUOTE_BLOCK):
         block = sessions[start:start + QUOTE_BLOCK]
-        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, i)))
-                for i in range(start, start + len(block))]
-        for session, quote in zip(block, quote_all(policy, block, rngs)):
+        quotes = quote_all(policy, block, list(islice(rngs, len(block))))
+        for session, quote in zip(block, quotes):
             records.append(EvalRecord(
                 offered_price=session.price_offered,
                 recommended_price=quote.recommended_price,

@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.pos_weight is not None and self.pos_weight <= 0:
             raise ValueError("pos_weight must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def learning_rate_at(config: TrainConfig, step: int) -> float:

@@ -8,7 +8,9 @@ threshold on the latent draw, which makes the monotonicity assumption
 
 All randomness flows through counter-based per-session streams derived
 from (master seed, session index), so runs are reproducible and could be
-parallelized without changing results.
+parallelized without changing results. The stream of session ``i`` is
+still ``default_rng(SeedSequence(seed, spawn_key=(0, i)))``; ``streams``
+derives the streams of a block of sessions in one array pass.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .policies import (
     quote_all,
     random_discount,
 )
+from .streams import stream, streams
 
 EPOCH_2025 = 1_735_689_600  # departure dates land in the year after this
 BOOKING_CLASSES = ("business", "economy", "flex")
@@ -97,6 +101,12 @@ class MarketSpec:
             raise ValueError(f"sub-market weights must sum to 1, got {total}")
         if self.static_price <= 0:
             raise ValueError("static_price must be positive")
+        if self.dtd_max < 1:
+            raise ValueError(f"dtd_max must be at least 1, got {self.dtd_max}")
+        if self.los_max < 1:
+            raise ValueError(f"los_max must be at least 1, got {self.los_max}")
+        if not 0.0 <= self.one_way_share <= 1.0:
+            raise ValueError(f"one_way_share must lie in [0, 1], got {self.one_way_share}")
         object.__setattr__(self, "_sub_market_table", choice_table(weights))
 
 
@@ -109,8 +119,8 @@ class SimSession:
 
 
 def session_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-session RNG stream."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0, index)))
+    """Counter-based per-session RNG stream: spawn key 0 of ``streams``."""
+    return stream(master_seed, 0, index)
 
 
 def gen_session(spec: MarketSpec, rng: np.random.Generator) -> SimSession:
@@ -181,7 +191,7 @@ def calibrate(spec: MarketSpec, target_rate: float, static_price: float | None =
     if not 0.0 < target_rate < 1.0:
         raise CalibrationDiverged(f"target rate must lie in (0, 1), got {target_rate}")
     price = spec.static_price if static_price is None else static_price
-    wtps = np.array([gen_session(spec, session_stream(seed, i)).wtp for i in range(n)])
+    wtps = np.array([gen_session(spec, rng).wtp for rng in streams(seed, 0, 0, n)])
 
     def conversion(shift: float) -> float:
         return float(np.mean(wtps * math.exp(shift) >= price))
@@ -217,8 +227,7 @@ def export_sessions(spec: MarketSpec, n: int, seed: int,
     if price_noise is not None and grid is None:
         raise ValueError("price_noise requires a grid for clamping")
     out: list[SessionRecord] = []
-    for i in range(n):
-        rng = session_stream(seed, i)
+    for rng in streams(seed, 0, 0, n):
         sim = gen_session(spec, rng)
         if price_noise is not None:
             offered = random_discount(price_noise, float(rng.standard_normal()), grid)
@@ -280,7 +289,8 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
     draws come from the session's own stream, so the full time series is
     reproducible from the master seed alone.
 
-    Each day is worked in blocks of at most ``QUOTE_BLOCK`` sessions: first
+    The streams of a day are seeded together (``streams``). Each day is
+    worked in blocks of at most ``QUOTE_BLOCK`` sessions: first
     every session of the block is generated and routed, then each arm
     prices its sessions of the block in one ``quote_batch`` call. A
     policy's draws come only from each session's own stream, so the result
@@ -294,17 +304,15 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
     index = 0
     for day in range(config.days):
         if config.sessions_per_day_dist == "poisson":
-            day_rng = np.random.default_rng(
-                np.random.SeedSequence(config.seed, spawn_key=(1, day)))
-            n_today = int(day_rng.poisson(config.sessions_per_day))
+            n_today = int(stream(config.seed, 1, day).poisson(config.sessions_per_day))
         else:
             n_today = config.sessions_per_day
+        day_streams = streams(config.seed, 0, index, index + n_today)
+        index += n_today
         counts = {n: [0, 0, 0.0] for n in names}  # offers, purchases, revenue
-        for start in range(0, n_today, QUOTE_BLOCK):
+        for _ in range(0, n_today, QUOTE_BLOCK):
             sims, rngs, routes = [], [], []
-            for _ in range(min(QUOTE_BLOCK, n_today - start)):
-                rng = session_stream(config.seed, index)
-                index += 1
+            for rng in islice(day_streams, QUOTE_BLOCK):
                 sims.append(gen_session(spec, rng))
                 rngs.append(rng)
                 routes.append(bisect_right(cum_splits, rng.random()))

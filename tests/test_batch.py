@@ -297,7 +297,8 @@ def test_quote_batch_of_wrong_length_is_refused():
 # -- run_abtest -------------------------------------------------------------
 
 def _scalar_abtest(spec, config):
-    """The per-session loop run_abtest used before it batched quotes."""
+    """The per-session loop run_abtest used before it batched quotes, with
+    each stream built by numpy's own SeedSequence, not by ``streams``."""
     names = [a.name for a in config.arms]
     cum_splits = np.cumsum([a.split for a in config.arms])
     daily = {n: [] for n in names}
@@ -312,7 +313,7 @@ def _scalar_abtest(spec, config):
             n_today = config.sessions_per_day
         counts = {n: [0, 0, 0.0] for n in names}
         for _ in range(n_today):
-            rng = session_stream(config.seed, index)
+            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, index)))
             index += 1
             sim = gen_session(spec, rng)
             arm = config.arms[int(np.searchsorted(cum_splits, rng.uniform(), side="right"))]

@@ -249,6 +249,11 @@ def _with_arm(**arm) -> dict:
 _APP_LM = {"policy": "app_lm", "checkpoint": "gnb.ckpt.json"}
 
 
+def _market(**fields) -> dict:
+    """The default market's config object with ``fields`` set."""
+    return {"market": {**market_spec_to_doc(default_market_spec()), **fields}}
+
+
 @pytest.mark.parametrize("command,doc", [
     ("abtest", _with_arm(policy="epsilon_greedy", epsilon=2,
                          explore_checkpoint="gnb.ckpt.json",
@@ -265,6 +270,13 @@ _APP_LM = {"policy": "app_lm", "checkpoint": "gnb.ckpt.json"}
     ("simulate", {"n_sessions": "abc"}),
     ("simulate", {"price_noise": {"std_discount": -1}}),
     ("simulate", {"calibrate": {"target_rate": "x"}}),
+    ("abtest", {**_with_arm(policy="human"), "seed": -3}),
+    ("simulate", _market(dtd_max=0)),
+    ("simulate", _market(los_max=0)),
+    ("simulate", _market(one_way_share=1.5)),
+    ("simulate", _market(one_way_share=-0.1)),
+    ("simulate", _market(dtd_slop=-0.3)),  # a misspelled key is no field
+    ("abtest", {**_with_arm(policy="human"), **_market(los_max=-2)}),
 ])
 def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, capsys,
                                                           command, doc):
@@ -281,6 +293,22 @@ def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, cap
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["simulate", "abtest"])
+def test_negative_seed_flag_is_data_error(tmp_path, capsys, monkeypatch, command):
+    import ancillary_pricing.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_spec_from_cfg",
+                        lambda cfg, seed: pytest.fail("the market came before the seed check"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SIM_CFG, **_with_arm(policy="human"), "days": 1,
+                                    "sessions_per_day": 10}))
+    assert cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad seed:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("model,flags", [
     ("app-dnn", ["--epochs", "-1"]),
     ("app-dnn", ["--dropout", "1.5"]),
@@ -288,6 +316,7 @@ def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, cap
     ("app-dnn", ["--batch-size", "0"]),
     ("dnn-cl", ["--c1", "2"]),
     ("gnbc", ["--k", "0"]),
+    ("gnbc", ["--seed", "-1"]),
 ])
 def test_train_setting_is_checked_before_the_data_is_read(tmp_path, capsys, model, flags):
     """The log does not exist: the settings error must come first."""
@@ -333,11 +362,16 @@ def _no_grid(doc):
     del doc["grid"]
 
 
+def _misspelled_param(doc):
+    doc["params"]["k_cluster"] = 3
+
+
 @pytest.mark.parametrize("edit", [
     _set("model_type", "foo"), _set("params", {}), _set("grid", [5.0]),
     _negative_max_price, _short_array, _no_grid, _set("hyperparameters", []),
+    _misspelled_param,
 ], ids=["model-type", "empty-params", "one-point-grid", "negative-max-price",
-        "shape-not-data", "no-grid", "hyperparameters-list"])
+        "shape-not-data", "no-grid", "hyperparameters-list", "misspelled-param"])
 def test_checkpoint_that_verifies_but_does_not_decode_is_data_error(workdir, tmp_path,
                                                                    capsys, edit):
     doc = json.loads((workdir / "gnbc.ckpt.json").read_text())

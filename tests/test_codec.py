@@ -101,6 +101,13 @@ def test_given_fields_are_not_read_from_the_document():
     assert from_doc(_Sample, doc, note="given").note == "given"
 
 
+def test_key_that_is_no_field_is_refused_by_name():
+    doc = to_doc(_Sample(pair=(1.0, 1), arrays=[], rows={}))
+    doc["nots"] = "a misspelled note"
+    with pytest.raises(ValueError, match="_Sample has no field 'nots'"):
+        from_doc(_Sample, doc)
+
+
 @pytest.mark.parametrize("edit,error", [
     (lambda d: d.pop("pair"), KeyError),
     (lambda d: d.update(pair=[1.0, 2, 3]), ValueError),

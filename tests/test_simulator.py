@@ -411,6 +411,32 @@ class TestSpecSerialization:
         with pytest.raises(ValueError, match="finite and non-negative"):
             market_spec_from_doc(doc)
 
+    @pytest.mark.parametrize("name,value", [
+        ("dtd_max", 0), ("los_max", 0), ("los_max", -3), ("one_way_share", -0.1),
+        ("one_way_share", 1.5), ("one_way_share", float("nan")),
+    ])
+    def test_out_of_range_field_refused(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            replace(default_market_spec(), **{name: value})
+        doc = market_spec_to_doc(default_market_spec())
+        doc[name] = value
+        with pytest.raises(ValueError, match=name):
+            market_spec_from_doc(doc)
+
+    def test_smallest_ranges_generate(self):
+        for share in (0.0, 1.0):
+            spec = replace(default_market_spec(), dtd_max=1, los_max=1, one_way_share=share)
+            for i in range(20):
+                record = gen_session(spec, session_stream(6, i)).record
+                assert record.days_to_departure in (0, 1)
+                assert record.length_of_stay == (0 if share == 1.0 else 1)
+
+    def test_misspelled_key_refused_by_name(self):
+        doc = market_spec_to_doc(default_market_spec())
+        doc["dtd_slop"] = -0.3
+        with pytest.raises(ValueError, match="'dtd_slop'"):
+            market_spec_from_doc(doc)
+
     def test_choice_table_follows_replace(self):
         spec = default_market_spec()
         subs = tuple(replace(sm, weight=w)
