@@ -11,7 +11,6 @@ from .core import (
     DemandModel,
     EncodedDataset,
     EncodingSchema,
-    FeatureVector,
     PolicyTag,
     PriceGrid,
     Quote,
@@ -27,7 +26,6 @@ __all__ = [
     "DemandModel",
     "EncodedDataset",
     "EncodingSchema",
-    "FeatureVector",
     "PolicyTag",
     "PriceGrid",
     "Quote",

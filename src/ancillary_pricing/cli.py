@@ -171,6 +171,14 @@ def _grid_from_cfg(cfg: dict) -> PriceGrid:
     return DEFAULT_GRID
 
 
+def _int_from_cfg(cfg: dict, key: str, default: int | None = None) -> int:
+    """``cfg[key]`` (or ``default``), refused unless a JSON integer."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"bad {key}: must be an integer, got {value!r}")
+    return value
+
+
 def _check_seed(seed: int) -> None:
     if seed < 0:  # numpy's SeedSequence refuses it
         raise ConfigError(f"bad seed: must be non-negative, got {seed}")
@@ -196,9 +204,9 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("simulate config needs 'n_sessions'")
     grid = _grid_from_cfg(cfg)
     spec = _spec_from_cfg(cfg, args.seed)
+    n = _int_from_cfg(cfg, "n_sessions")
     noise = None
     try:
-        n = int(cfg["n_sessions"])
         if "price_noise" in cfg:
             pn = cfg["price_noise"]
             noise = RandomDiscountParams(
@@ -333,10 +341,7 @@ def _cmd_abtest(args) -> int:
     cfg = _load_json(args.config)
     base_dir = Path(args.config).resolve().parent
     grid = _grid_from_cfg(cfg)
-    try:
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad seed: {exc}")
+    seed = args.seed if args.seed is not None else _int_from_cfg(cfg, "seed", 0)
     _check_seed(seed)
     spec = _spec_from_cfg(cfg, seed)
     if "arms" not in cfg or "days" not in cfg or "sessions_per_day" not in cfg:
@@ -351,8 +356,8 @@ def _cmd_abtest(args) -> int:
     try:
         config = AbConfig(
             arms=arms,
-            days=int(cfg["days"]),
-            sessions_per_day=int(cfg["sessions_per_day"]),
+            days=_int_from_cfg(cfg, "days"),
+            sessions_per_day=_int_from_cfg(cfg, "sessions_per_day"),
             sessions_per_day_dist=cfg.get("sessions_per_day_distribution", "fixed"),
             seed=seed,
             baseline_arm=cfg.get("baseline_arm", "HUMAN"),

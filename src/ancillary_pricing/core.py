@@ -6,12 +6,9 @@ threads; the operations are pure functions.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -142,16 +139,6 @@ class EncodingSchema:
         n += sum(len(f.levels) + 1 for f in self.categorical)
         return n
 
-    @cached_property
-    def schema_hash(self) -> str:
-        # Computed once per schema: encode() stamps it on every vector.
-        payload = {
-            "numeric": [[f.name, f.mean, f.std, f.optional] for f in self.numeric],
-            "categorical": [[f.name, list(f.levels)] for f in self.categorical],
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
     def column_names(self) -> list[str]:
         cols: list[str] = []
         for f in self.numeric:
@@ -165,28 +152,12 @@ class EncodingSchema:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """Encoded session, bound to the schema that produced it."""
-
-    values: np.ndarray
-    schema_hash: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("feature vector contains non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
 class Quote:
     """A price recommendation emitted by one of the pricing policies."""
 
     recommended_price: float
     policy_tag: PolicyTag
     purchase_prob_estimate: float | None = None
-    expected_revenue_estimate: float | None = None
     model_version: str = "dev"
 
     def __post_init__(self):
@@ -195,8 +166,6 @@ class Quote:
         p = self.purchase_prob_estimate
         if p is not None and not 0.0 <= p <= 1.0:
             raise ValueError(f"purchase probability estimate out of [0,1]: {p}")
-        if self.expected_revenue_estimate is not None and self.expected_revenue_estimate < 0:
-            raise ValueError("expected revenue estimate must be non-negative")
 
     def to_dict(self) -> dict:
         """The reply of ``recommend`` and ``POST /v1/price``, in this key order;
@@ -216,8 +185,9 @@ class DemandModel(Protocol):
 
     ``quote`` needs only ``predict_proba`` and the one-session form of
     ``predict_proba_grid``; ``quote_batch`` of APP-DES needs the
-    ``features[n, d] -> [n, g]`` form, and that of APP-LM needs
-    ``predict_proba_rows``. Each batch row must equal its session alone.
+    ``features[n, d] -> [n, g]`` form, and that of APP-LM, like the
+    ``score_batch`` of both, needs ``predict_proba_rows``. Each batch row
+    must equal its session alone.
     """
 
     def predict_proba(self, features: np.ndarray, price: float) -> float:
@@ -304,8 +274,9 @@ def fit_schema(sessions: Sequence[SessionRecord]) -> EncodingSchema:
     return EncodingSchema(numeric=tuple(numeric), categorical=tuple(categorical))
 
 
-def encode(session: SessionRecord, schema: EncodingSchema) -> FeatureVector:
-    """Encode one session against a fitted schema. Pure and deterministic."""
+def encode(session: SessionRecord, schema: EncodingSchema) -> np.ndarray:
+    """Encode one session against a fitted schema as a read-only row of
+    ``schema.dim`` finite floats. Pure and deterministic."""
     out = np.empty(schema.dim, dtype=float)
     i = 0
     for f in schema.numeric:
@@ -335,19 +306,22 @@ def encode(session: SessionRecord, schema: EncodingSchema) -> FeatureVector:
             block[-1] = 1.0  # unseen level or absent value -> unknown bucket
         out[i:i + len(block)] = block
         i += len(block)
-    return FeatureVector(values=out, schema_hash=schema.schema_hash)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("feature vector contains non-finite values")
+    out.setflags(write=False)
+    return out
 
 
 def encode_matrix(sessions: Sequence[SessionRecord], schema: EncodingSchema) -> np.ndarray:
     """Encode many sessions column by column; row i equals
-    ``encode(sessions[i], schema).values`` bit for bit.
+    ``encode(sessions[i], schema)`` bit for bit.
 
     On bad input it raises exactly what ``encode`` raises for the first bad
     session, because the rows are then re-encoded one by one.
     """
     out = _encode_columns(sessions, schema)
     if out is None or not np.all(np.isfinite(out)):
-        return np.stack([encode(s, schema).values for s in sessions])
+        return np.stack([encode(s, schema) for s in sessions])
     return out
 
 

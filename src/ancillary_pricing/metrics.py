@@ -191,19 +191,22 @@ class MetricReport:
 
 def records_for_policy(policy, sessions, seed: int) -> list[EvalRecord]:
     """Quote every session under a fixed per-session random stream (spawn
-    key 3 of ``streams``), in one ``quote_batch`` call per block of
-    ``QUOTE_BLOCK`` sessions."""
+    key 3 of ``streams``) and score it, in one ``quote_batch`` and one
+    ``score_batch`` call per block of ``QUOTE_BLOCK`` sessions."""
     records = []
     rngs = streams(seed, 3, 0, len(sessions))
     for start in range(0, len(sessions), QUOTE_BLOCK):
         block = sessions[start:start + QUOTE_BLOCK]
         quotes = quote_all(policy, block, list(islice(rngs, len(block))))
-        for session, quote in zip(block, quotes):
+        scores = policy.score_batch(block)
+        if scores is None:
+            scores = [None] * len(block)
+        for session, quote, score in zip(block, quotes, scores, strict=True):
             records.append(EvalRecord(
                 offered_price=session.price_offered,
                 recommended_price=quote.recommended_price,
                 purchased=int(session.purchased),
-                score=policy.score(session),
+                score=score,
                 revenue=session.price_offered * int(session.purchased),
             ))
     return records

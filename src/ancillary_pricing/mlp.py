@@ -40,9 +40,6 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.sizes[0]
 
-    def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 @dataclass(frozen=True)
 class TrainConfig:

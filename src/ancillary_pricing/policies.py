@@ -3,7 +3,8 @@
 The operations take explicit random draws where randomness is involved, so
 every function here is referentially transparent. The policy classes wrap
 them behind a uniform ``quote(session, rng)`` interface for the A/B
-harness, the evaluation report, and the serving layer.
+harness, the evaluation report, and the serving layer; the report also
+scores each block of sessions through ``score_batch``.
 """
 
 from __future__ import annotations
@@ -85,14 +86,11 @@ def des_recommend(model: DemandModel, features: np.ndarray, grid: PriceGrid,
 
 def _des_quote(probs: np.ndarray, grid: PriceGrid, model_version: str) -> Quote:
     """The revenue-maximizing quote from one session's probabilities over the grid."""
-    prices = grid.as_array()
-    revenue = prices * probs
-    best = int(np.argmax(revenue))  # first maximum: lowest price on ties
+    best = int(np.argmax(grid.as_array() * probs))  # first maximum: lowest price on ties
     return Quote(
         recommended_price=grid.prices[best],
         policy_tag=PolicyTag.APP_DES,
         purchase_prob_estimate=float(probs[best]),
-        expected_revenue_estimate=float(revenue[best]),
         model_version=model_version,
     )
 
@@ -142,6 +140,9 @@ class PricingPolicy(Protocol):
 
     ``quote_batch(sessions, rngs)[i]`` equals ``quote(sessions[i], rngs[i])``
     bit for bit, and draws from ``rngs[i]`` in the same order.
+    ``score_batch(sessions)[i]`` is the purchase-probability estimate at
+    ``sessions[i].price_offered``; the whole result is None for a policy
+    that estimates none.
     """
 
     name: str
@@ -153,8 +154,7 @@ class PricingPolicy(Protocol):
                     rngs: Sequence[np.random.Generator]) -> list[Quote]:
         ...
 
-    def score(self, session: SessionRecord) -> float | None:
-        """Purchase-probability estimate at the session's offered price, if any."""
+    def score_batch(self, sessions: Sequence[SessionRecord]) -> list[float] | None:
         ...
 
 
@@ -175,7 +175,7 @@ class StaticPricePolicy:
     def quote_batch(self, sessions, rngs) -> list[Quote]:
         return [self.quote(s, rng) for s, rng in zip(sessions, rngs)]
 
-    def score(self, session: SessionRecord) -> float | None:
+    def score_batch(self, sessions) -> None:
         return None
 
 
@@ -198,7 +198,7 @@ class RandomDiscountPolicy:
     def quote_batch(self, sessions, rngs) -> list[Quote]:
         return [self.quote(s, rng) for s, rng in zip(sessions, rngs)]
 
-    def score(self, session: SessionRecord) -> float | None:
+    def score_batch(self, sessions) -> None:
         return None
 
 
@@ -208,6 +208,22 @@ def _check_batch_shape(model, method: str, probs: np.ndarray, shape: tuple) -> N
     if np.shape(probs) != shape:
         raise ValueError(f"{type(model).__name__}.{method} gave shape {np.shape(probs)} "
                          f"for a batch of shape {shape}; see core.DemandModel")
+
+
+def _probs_at(model: DemandModel, schema: EncodingSchema,
+              sessions: Sequence[SessionRecord], prices) -> np.ndarray:
+    """``model.predict_proba_rows`` of the encoded sessions, one price each."""
+    probs = model.predict_proba_rows(encode_matrix(sessions, schema),
+                                     np.asarray(prices, dtype=float))
+    _check_batch_shape(model, "predict_proba_rows", probs, (len(sessions),))
+    return probs
+
+
+def _score_offered(policy, sessions) -> list[float]:
+    """The ``score_batch`` of APP-LM and APP-DES: the demand model's
+    estimate at each session's offered price."""
+    return _probs_at(policy.model, policy.schema, sessions,
+                     [s.price_offered for s in sessions]).tolist()
 
 
 @dataclass(frozen=True)
@@ -227,21 +243,16 @@ class AppLmPolicy:
             raise ValueError(f"p_ref must be positive and finite, got {self.p_ref}")
 
     def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
-        x = encode(session, self.schema).values
-        q = app_lm_recommend(self.model, x, self.p_ref, self.logistic, self.grid,
-                             model_version=self.model_version)
-        return q
+        x = encode(session, self.schema)
+        return app_lm_recommend(self.model, x, self.p_ref, self.logistic, self.grid,
+                                model_version=self.model_version)
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
-        x = encode_matrix(sessions, self.schema)
-        probs = self.model.predict_proba_rows(x, np.full(len(sessions), self.p_ref))
-        _check_batch_shape(self.model, "predict_proba_rows", probs, (len(sessions),))
+        probs = _probs_at(self.model, self.schema, sessions, np.full(len(sessions), self.p_ref))
         return [_app_lm_quote(prob, self.logistic, self.grid, self.model_version)
                 for prob in probs.tolist()]
 
-    def score(self, session: SessionRecord) -> float | None:
-        x = encode(session, self.schema).values
-        return self.model.predict_proba(x, session.price_offered)
+    score_batch = _score_offered
 
 
 @dataclass(frozen=True)
@@ -253,7 +264,7 @@ class AppDesPolicy:
     model_version: str = "dev"
 
     def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
-        x = encode(session, self.schema).values
+        x = encode(session, self.schema)
         return des_recommend(self.model, x, self.grid, model_version=self.model_version)
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
@@ -263,9 +274,7 @@ class AppDesPolicy:
                            (len(sessions), len(self.grid)))
         return [_des_quote(row, self.grid, self.model_version) for row in probs]
 
-    def score(self, session: SessionRecord) -> float | None:
-        x = encode(session, self.schema).values
-        return self.model.predict_proba(x, session.price_offered)
+    score_batch = _score_offered
 
 
 @dataclass(frozen=True)
@@ -276,7 +285,7 @@ class DnnClPolicy:
     model_version: str = "dev"
 
     def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
-        x = encode(session, self.schema).values
+        x = encode(session, self.schema)
         return recommend_price(self.model, x, model_version=self.model_version)
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
@@ -286,7 +295,7 @@ class DnnClPolicy:
                       model_version=self.model_version)
                 for i in snap_to_grid(raw, self.model.grid).tolist()]
 
-    def score(self, session: SessionRecord) -> float | None:
+    def score_batch(self, sessions) -> None:
         return None  # prices directly; no probability output
 
 
@@ -325,8 +334,8 @@ class EpsilonGreedyPolicy:
             model_version=chosen.model_version,
         )
 
-    def score(self, session: SessionRecord) -> float | None:
-        return self.exploit.score(session)
+    def score_batch(self, sessions) -> list[float] | None:
+        return self.exploit.score_batch(sessions)
 
 
 def quote_all(policy: PricingPolicy, sessions: Sequence[SessionRecord],

@@ -101,10 +101,10 @@ class MarketSpec:
             raise ValueError(f"sub-market weights must sum to 1, got {total}")
         if self.static_price <= 0:
             raise ValueError("static_price must be positive")
-        if self.dtd_max < 1:
-            raise ValueError(f"dtd_max must be at least 1, got {self.dtd_max}")
-        if self.los_max < 1:
-            raise ValueError(f"los_max must be at least 1, got {self.los_max}")
+        for name in ("dtd_max", "los_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not 0.0 <= self.one_way_share <= 1.0:
             raise ValueError(f"one_way_share must lie in [0, 1], got {self.one_way_share}")
         object.__setattr__(self, "_sub_market_table", choice_table(weights))

@@ -1,12 +1,14 @@
 """Batch paths equal their scalar paths bit for bit.
 
 ``encode_matrix`` against ``encode``, each policy's ``quote_batch`` against
-its ``quote``, ``run_abtest`` against the one-session-at-a-time loop it
-replaced (kept below as the oracle), and the array form of ``snap_to_grid``
-against the scalar form.
+its ``quote``, ``score_batch`` against the per-session score it replaced,
+``run_abtest`` against the one-session-at-a-time loop it replaced (both
+oracles kept below), and the array form of ``snap_to_grid`` against the
+scalar form.
 """
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ancillary_pricing.checkpoint import PricingBundle
 from ancillary_pricing.core import (
     PriceGrid,
     SessionRecord,
@@ -26,7 +29,7 @@ from ancillary_pricing.core import (
     snap_to_grid,
 )
 from ancillary_pricing.gnb import fit_gnb, fit_gnbc
-from ancillary_pricing.metrics import OfferOutcome, records_for_policy
+from ancillary_pricing.metrics import OfferOutcome, build_report, records_for_policy
 from ancillary_pricing.mlp import MlpDemandModel, TrainConfig, train_app
 from ancillary_pricing.policies import (
     AppDesPolicy,
@@ -116,7 +119,7 @@ def test_encode_matrix_rows_equal_encode_bitwise(sessions):
     mat = encode_matrix(sessions, SCHEMA)
     assert mat.shape == (len(sessions), SCHEMA.dim)
     for row, session in zip(mat, sessions):
-        assert row.tobytes() == encode(session, SCHEMA).values.tobytes()
+        assert row.tobytes() == encode(session, SCHEMA).tobytes()
 
 
 def _first_error(sessions):
@@ -276,7 +279,7 @@ class _ShortBatchPolicy:
     def quote_batch(self, sessions, rngs):
         return [self.quote(s, rng) for s, rng in zip(sessions[1:], rngs[1:])]
 
-    def score(self, session):
+    def score_batch(self, sessions):
         return None
 
 
@@ -292,6 +295,57 @@ def test_quote_batch_of_wrong_length_is_refused():
     config = AbConfig(arms=arms, days=1, sessions_per_day=20, seed=0)
     with pytest.raises(ValueError, match=r"_ShortBatchPolicy.quote_batch gave \d+ quotes"):
         run_abtest(SPEC, config)
+
+
+# -- score_batch ------------------------------------------------------------
+
+def _scalar_scores(policy, sessions):
+    """The per-session score that ``score_batch`` replaced: a scalar
+    ``encode`` and a one-row ``predict_proba`` at the offered price, made by
+    the exploiting policy of an EPS-GREEDY."""
+    scorer = getattr(policy, "exploit", policy)
+    return [scorer.model.predict_proba(encode(s, scorer.schema), s.price_offered)
+            for s in sessions]
+
+
+@pytest.mark.parametrize("name", ["APP-LM/gnb", "APP-LM/gnbc", "APP-DES/gnb", "APP-DES/mlp",
+                                  "EPS-GREEDY/random-des"])
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_score_batch_equals_scalar_score_bitwise(policies, name, seed, n):
+    sessions = export_sessions(SPEC, n, seed=seed, price_noise=NOISE, grid=GRID)
+    got = policies[name].score_batch(sessions)
+    assert [_exact(v) for v in got] == [_exact(v) for v in _scalar_scores(policies[name],
+                                                                          sessions)]
+    assert all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize("name", ["HUMAN", "RANDOM", "DNN-CL", "EPS-GREEDY/lm-random"])
+def test_policy_without_probability_scores_none(policies, name):
+    assert policies[name].score_batch(export_sessions(SPEC, 5, seed=3)) is None
+
+
+# SHA-256 of ``build_report(...).to_json()`` for an ``evaluate`` of each
+# bundle's default policy, as made while each session was scored on its own.
+REPORT_DIGESTS = {
+    "gnb": "c88d7fb198b3a6d070a39c6a37fb5e9c55a766fbe0f2514d3918f85e042b5ba4",
+    "gnbc": "4ef3992bc01ce1ee560167a90c0ccdf6369831f861932959e7dd18b77ed8ea10",
+    "app_dnn": "9c58d8b284e4bcd1505ed23589a06a99fedc09ae54db56b85d05894aea4c181e",
+    "dnn_cl": "03da127b91af59a33655e1b3013bb78e12df067a6d10e3d15a0761886b8dfbdc",
+}
+_FIXTURE_POLICY = {"gnb": "APP-LM/gnb", "gnbc": "APP-LM/gnbc", "app_dnn": "APP-DES/mlp",
+                   "dnn_cl": "DNN-CL"}
+
+
+@pytest.mark.parametrize("model_type", sorted(REPORT_DIGESTS))
+def test_evaluation_reports_are_pinned(policies, model_type):
+    trained = policies[_FIXTURE_POLICY[model_type]]
+    policy = PricingBundle(model_type, trained.schema, GRID, trained.model,
+                           logistic=LOGISTIC).policy()
+    sessions = export_sessions(SPEC, 700, seed=21, price_noise=NOISE, grid=GRID)
+    report = build_report({policy.name: policy}, sessions, seed=0, dataset_id="eval.jsonl")
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_DIGESTS[model_type]
 
 
 # -- run_abtest -------------------------------------------------------------

