@@ -32,7 +32,7 @@ from .policies import (
     StaticPricePolicy,
 )
 from .pricing_net import check_multipliers, train_dnncl
-from .service import serve as build_service
+from .service import PricingService
 from .session_io import read_sessions, session_from_dict, write_sessions
 from .simulator import (
     DEFAULT_GRID,
@@ -166,7 +166,7 @@ def _grid_from_cfg(cfg: dict) -> PriceGrid:
     if "grid" in cfg:
         try:
             return PriceGrid(tuple(float(p) for p in cfg["grid"]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad grid: {exc}")
     return DEFAULT_GRID
 
@@ -202,9 +202,11 @@ def _cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     if "n_sessions" not in cfg:
         raise ConfigError("simulate config needs 'n_sessions'")
+    n = _int_from_cfg(cfg, "n_sessions")
+    if n < 1:
+        raise ConfigError(f"bad n_sessions: must be at least 1, got {n}")
     grid = _grid_from_cfg(cfg)
     spec = _spec_from_cfg(cfg, args.seed)
-    n = _int_from_cfg(cfg, "n_sessions")
     noise = None
     try:
         if "price_noise" in cfg:
@@ -390,7 +392,7 @@ def _cmd_serve(args) -> int:
     host, _, port_text = addr.rpartition(":")
     if not host or not port_text.isdigit():
         raise ConfigError(f"bad address {addr!r}, expected host:port")
-    service = build_service(bundle.policy(), host, int(port_text))
+    service = PricingService(bundle.policy(), host, int(port_text))
     print(f"serving {bundle.version} on {service.address[0]}:{service.address[1]}")
     try:
         service.serve_forever()

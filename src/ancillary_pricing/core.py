@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Protocol, Sequence
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -88,8 +90,8 @@ class PriceGrid:
     def __post_init__(self):
         if len(self.prices) < 2:
             raise ValueError("price grid needs at least 2 points")
-        if any(p <= 0 for p in self.prices):
-            raise ValueError("all grid prices must be positive")
+        if not all(math.isfinite(p) and p > 0 for p in self.prices):
+            raise ValueError(f"all grid prices must be positive and finite, got {self.prices}")
         if any(b <= a for a, b in zip(self.prices, self.prices[1:])):
             raise ValueError("grid prices must be strictly ascending")
         object.__setattr__(self, "_arr", np.asarray(self.prices, dtype=float))
@@ -150,6 +152,21 @@ class EncodingSchema:
             cols.append(f"{f.name}=<unknown>")
         return cols
 
+    @cached_property
+    def _plan(self) -> tuple[tuple, tuple]:
+        """What ``encode_matrix`` reads per feature, built once per schema:
+        ``(getter, mean, std, optional, name)`` for each numeric feature, and
+        ``(getter, level -> index, width)`` for each categorical one, the
+        first of a repeated level winning. Kept in the instance ``__dict__``
+        only, so fields, equality and documents are unchanged."""
+        numeric = tuple((_feature_getter(f.name), f.mean, f.std, f.optional, f.name)
+                        for f in self.numeric)
+        categorical = tuple(
+            (_feature_getter(f.name), {lvl: k for k, lvl in reversed(list(enumerate(f.levels)))},
+             len(f.levels) + 1)
+            for f in self.categorical)
+        return numeric, categorical
+
 
 @dataclass(frozen=True)
 class Quote:
@@ -204,17 +221,14 @@ class DemandModel(Protocol):
         ...
 
 
-def _base_value(session: SessionRecord, name: str):
+def _feature_getter(name: str) -> Callable[[SessionRecord], object]:
+    """Reads a named feature of a session: a base attribute (the market as
+    its code), else the extra feature of that name, None when absent."""
     if name == "market":
-        return session.market_code
-    return getattr(session, name)
-
-
-def _raw_value(session: SessionRecord, name: str):
-    """Value of a named feature, or None when absent/missing."""
+        return attrgetter("market_code")
     if name in BASE_NUMERIC or name in BASE_CATEGORICAL:
-        return _base_value(session, name)
-    return session.extra_features.get(name)
+        return attrgetter(name)
+    return lambda session: session.extra_features.get(name)
 
 
 def _is_numeric(value) -> bool:
@@ -249,7 +263,8 @@ def fit_schema(sessions: Sequence[SessionRecord]) -> EncodingSchema:
     numeric: list[NumericFeature] = []
     numeric_names = list(BASE_NUMERIC) + [n for n in extra_names if kinds.get(n) == "numeric"]
     for name in numeric_names:
-        raw = [_raw_value(s, name) for s in sessions]
+        get = _feature_getter(name)
+        raw = [get(s) for s in sessions]
         present = [float(v) for v in raw if v is not None]
         if not present:
             continue
@@ -266,7 +281,8 @@ def fit_schema(sessions: Sequence[SessionRecord]) -> EncodingSchema:
     categorical: list[CategoricalFeature] = []
     cat_names = list(BASE_CATEGORICAL) + [n for n in extra_names if kinds.get(n) == "categorical"]
     for name in cat_names:
-        observed = {str(v) for s in sessions if (v := _raw_value(s, name)) is not None}
+        get = _feature_getter(name)
+        observed = {str(v) for s in sessions if (v := get(s)) is not None}
         if not observed:
             continue
         categorical.append(CategoricalFeature(name=name, levels=tuple(sorted(observed))))
@@ -276,88 +292,48 @@ def fit_schema(sessions: Sequence[SessionRecord]) -> EncodingSchema:
 
 def encode(session: SessionRecord, schema: EncodingSchema) -> np.ndarray:
     """Encode one session against a fitted schema as a read-only row of
-    ``schema.dim`` finite floats. Pure and deterministic."""
-    out = np.empty(schema.dim, dtype=float)
-    i = 0
-    for f in schema.numeric:
-        v = _raw_value(session, f.name)
-        if v is not None and not _is_numeric(v):
-            raise SchemaMismatch(f"feature {f.name!r} expected numeric, got {type(v).__name__}")
-        if v is None:
-            if not f.optional:
-                raise SchemaMismatch(f"required feature {f.name!r} missing from session "
-                                     f"{session.session_id!r}")
-            out[i] = 0.0
-            i += 1
-            out[i] = 1.0
-            i += 1
-        else:
-            out[i] = (float(v) - f.mean) / f.std
-            i += 1
-            if f.optional:
-                out[i] = 0.0
-                i += 1
-    for f in schema.categorical:
-        v = _raw_value(session, f.name)
-        block = np.zeros(len(f.levels) + 1)
-        if v is not None and str(v) in f.levels:
-            block[f.levels.index(str(v))] = 1.0
-        else:
-            block[-1] = 1.0  # unseen level or absent value -> unknown bucket
-        out[i:i + len(block)] = block
-        i += len(block)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("feature vector contains non-finite values")
+    ``schema.dim`` finite floats: the one-row case of ``encode_matrix``."""
+    out = encode_matrix([session], schema)
     out.setflags(write=False)
-    return out
+    return out[0]
 
 
 def encode_matrix(sessions: Sequence[SessionRecord], schema: EncodingSchema) -> np.ndarray:
-    """Encode many sessions column by column; row i equals
-    ``encode(sessions[i], schema)`` bit for bit.
+    """Encode each session as one row of a ``(len(sessions), schema.dim)``
+    array. Pure and deterministic.
 
-    On bad input it raises exactly what ``encode`` raises for the first bad
-    session, because the rows are then re-encoded one by one.
+    A numeric feature is z-scored; an optional one adds a missing flag and
+    reads 0 when absent. A categorical feature is one-hot over its levels
+    plus a trailing bucket for an unseen level or an absent value. The
+    first bad session raises: ``SchemaMismatch`` for a required feature
+    that is absent or a numeric one that is not a number, ``ValueError``
+    for a row that is not finite.
     """
-    out = _encode_columns(sessions, schema)
-    if out is None or not np.all(np.isfinite(out)):
-        return np.stack([encode(s, schema) for s in sessions])
-    return out
-
-
-def _encode_columns(sessions: Sequence[SessionRecord],
-                    schema: EncodingSchema) -> np.ndarray | None:
-    """The columnar pass of ``encode_matrix``; None on any value that
-    ``encode`` would refuse."""
-    n = len(sessions)
-    out = np.zeros((n, schema.dim))
-    i = 0
-    for f in schema.numeric:
-        raw = [_raw_value(s, f.name) for s in sessions]
-        missing = [v is None for v in raw]
-        if any(missing) and not f.optional:
-            return None
-        if not all(m or _is_numeric(v) for v, m in zip(raw, missing)):
-            return None
-        try:
-            col = np.array([0.0 if m else float(v) for v, m in zip(raw, missing)])
-        except OverflowError:
-            return None
-        col = (col - f.mean) / f.std
-        if f.optional:
-            flags = np.array(missing, dtype=bool)
-            col[flags] = 0.0
-            out[:, i + 1] = flags
-        out[:, i] = col
-        i += 2 if f.optional else 1
-    rows = np.arange(n)
-    for f in schema.categorical:
-        index = {lvl: k for k, lvl in reversed(list(enumerate(f.levels)))}  # first wins
-        unknown = len(f.levels)  # unseen level or absent value -> unknown bucket
-        hot = [unknown if (v := _raw_value(s, f.name)) is None else index.get(str(v), unknown)
-               for s in sessions]
-        out[rows, i + np.array(hot, dtype=np.intp)] = 1.0
-        i += len(f.levels) + 1
+    numeric, categorical = schema._plan
+    out = np.empty((len(sessions), schema.dim))
+    for r, session in enumerate(sessions):
+        row: list[float] = []
+        for get, mean, std, optional, name in numeric:
+            v = get(session)
+            if v is None:
+                if not optional:
+                    raise SchemaMismatch(f"required feature {name!r} missing from session "
+                                         f"{session.session_id!r}")
+                row += (0.0, 1.0)
+            elif not _is_numeric(v):
+                raise SchemaMismatch(f"feature {name!r} expected numeric, got {type(v).__name__}")
+            elif optional:
+                row += ((float(v) - mean) / std, 0.0)
+            else:
+                row.append((float(v) - mean) / std)
+        if not all(map(math.isfinite, row)):
+            raise ValueError("feature vector contains non-finite values")
+        for get, index, width in categorical:
+            hot = [0.0] * width
+            v = get(session)
+            hot[width - 1 if v is None else index.get(str(v), width - 1)] = 1.0
+            row += hot
+        out[r] = row
     return out
 
 

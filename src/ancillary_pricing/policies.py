@@ -53,6 +53,15 @@ class LogisticMapParams:
             raise ValueError("midpoint must lie in (0, 1)")
 
 
+def _is_finite_number(v) -> bool:
+    """Whether ``v`` is a number a float holds finitely: not a bool, NaN,
+    an infinity or an int too large for a float."""
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class RandomDiscountParams:
     """Gaussian discount noise below a static reference price."""
@@ -62,6 +71,10 @@ class RandomDiscountParams:
     static_price: float
 
     def __post_init__(self):
+        for name in ("mean_discount", "std_discount", "static_price"):
+            v = getattr(self, name)
+            if not _is_finite_number(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.std_discount < 0:
             raise ValueError("std_discount must be non-negative")
         if self.static_price <= 0:

@@ -174,8 +174,3 @@ class PricingService:
         if self._thread is not None:
             self._thread.join(timeout=5)
         self._server.server_close()
-
-
-def serve(policy: PricingPolicy, host: str, port: int) -> PricingService:
-    """Build a service bound to the address; caller decides how to run it."""
-    return PricingService(policy, host=host, port=port)

@@ -28,9 +28,6 @@ REQUIRED_FIELDS = (
     "price_offered",
 )
 
-_INT_FIELDS = ("days_to_departure", "departure_epoch", "length_of_stay",
-               "group_size", "num_stops")
-
 
 def _is_finite(v: int | float) -> bool:
     try:

@@ -1,8 +1,9 @@
 """Batch paths equal their scalar paths bit for bit.
 
-``encode_matrix`` against ``encode``, each policy's ``quote_batch`` against
+``encode`` and ``encode_matrix`` against the per-row encoder they replaced,
+each policy's ``quote_batch`` against
 its ``quote``, ``score_batch`` against the per-session score it replaced,
-``run_abtest`` against the one-session-at-a-time loop it replaced (both
+``run_abtest`` against the one-session-at-a-time loop it replaced (the
 oracles kept below), and the array form of ``snap_to_grid`` against the
 scalar form.
 """
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 from ancillary_pricing.checkpoint import PricingBundle
 from ancillary_pricing.core import (
+    BASE_CATEGORICAL,
+    BASE_NUMERIC,
     PriceGrid,
     SessionRecord,
     encode,
@@ -28,6 +31,7 @@ from ancillary_pricing.core import (
     grid_rows,
     snap_to_grid,
 )
+from ancillary_pricing.errors import SchemaMismatch
 from ancillary_pricing.gnb import fit_gnb, fit_gnbc
 from ancillary_pricing.metrics import OfferOutcome, build_report, records_for_policy
 from ancillary_pricing.mlp import MlpDemandModel, TrainConfig, train_app
@@ -113,21 +117,74 @@ def test_schema_covers_optional_numeric_and_categorical_extras():
     assert any(f.name == "channel" for f in SCHEMA.categorical)
 
 
+def _oracle_value(session, name):
+    if name == "market":
+        return session.market_code
+    if name in BASE_NUMERIC or name in BASE_CATEGORICAL:
+        return getattr(session, name)
+    return session.extra_features.get(name)
+
+
+def _oracle_encode(session, schema):
+    """The per-row encoder that ``encode`` and ``encode_matrix`` replaced."""
+    out = np.empty(schema.dim, dtype=float)
+    i = 0
+    for f in schema.numeric:
+        v = _oracle_value(session, f.name)
+        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+            raise SchemaMismatch(f"feature {f.name!r} expected numeric, got {type(v).__name__}")
+        if v is None:
+            if not f.optional:
+                raise SchemaMismatch(f"required feature {f.name!r} missing from session "
+                                     f"{session.session_id!r}")
+            out[i] = 0.0
+            i += 1
+            out[i] = 1.0
+            i += 1
+        else:
+            out[i] = (float(v) - f.mean) / f.std
+            i += 1
+            if f.optional:
+                out[i] = 0.0
+                i += 1
+    for f in schema.categorical:
+        v = _oracle_value(session, f.name)
+        block = np.zeros(len(f.levels) + 1)
+        if v is not None and str(v) in f.levels:
+            block[f.levels.index(str(v))] = 1.0
+        else:
+            block[-1] = 1.0  # unseen level or absent value -> unknown bucket
+        out[i:i + len(block)] = block
+        i += len(block)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("feature vector contains non-finite values")
+    return out
+
+
+def _oracle_outcome(session):
+    """The oracle's row bytes, or the type and text of what it raises."""
+    try:
+        return _oracle_encode(session, SCHEMA).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 @given(sessions=st.lists(_sessions, min_size=0, max_size=30))
 @settings(max_examples=150)
 def test_encode_matrix_rows_equal_encode_bitwise(sessions):
     mat = encode_matrix(sessions, SCHEMA)
     assert mat.shape == (len(sessions), SCHEMA.dim)
     for row, session in zip(mat, sessions):
-        assert row.tobytes() == encode(session, SCHEMA).tobytes()
+        expected = _oracle_encode(session, SCHEMA).tobytes()
+        assert row.tobytes() == expected
+        assert encode(session, SCHEMA).tobytes() == expected
 
 
 def _first_error(sessions):
     for s in sessions:
-        try:
-            encode(s, SCHEMA)
-        except Exception as exc:  # the oracle: whatever encode raises first
-            return exc
+        outcome = _oracle_outcome(s)
+        if isinstance(outcome, tuple):
+            return outcome
     return None
 
 
@@ -137,6 +194,7 @@ _bad_values = st.sampled_from([
     ("popularity", math.inf),          # non-finite after scaling
     ("popularity", 10 ** 400),         # too large for a float
     ("price_comparison_score", None),  # a required feature missing
+    ("price_comparison_score", math.nan),  # non-finite, yet a later feature's error wins
 ])
 
 
@@ -153,9 +211,15 @@ def test_encode_matrix_raises_what_encode_raises_first(sessions, data):
             sessions[at] = dataclasses.replace(s, **{name: value})
     expected = _first_error(sessions)
     assert expected is not None
-    with pytest.raises(type(expected)) as info:
+    with pytest.raises(expected[0]) as info:
         encode_matrix(sessions, SCHEMA)
-    assert str(info.value) == str(expected)
+    assert (type(info.value), str(info.value)) == expected
+    for s in sessions:  # encode, one session at a time, fails as the oracle does
+        try:
+            got = encode(s, SCHEMA).tobytes()
+        except Exception as exc:
+            got = type(exc), str(exc)
+        assert got == _oracle_outcome(s)
 
 
 # -- quote_batch ------------------------------------------------------------

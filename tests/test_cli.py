@@ -285,6 +285,19 @@ def _market(**fields) -> dict:
     ("simulate", {"n_sessions": False}),
     ("simulate", _market(dtd_max=1.5)),
     ("simulate", _market(los_max=2.5)),
+    ("simulate", {"price_noise": {"mean_discount": "x"}}),  # finite numbers only
+    ("simulate", {"price_noise": {"mean_discount": float("nan")}}),
+    ("simulate", {"price_noise": {"std_discount": float("inf")}}),
+    ("simulate", {"price_noise": {"mean_discount": True}}),
+    ("simulate", {"price_noise": {"mean_discount": 10 ** 400}}),  # no float holds it
+    ("abtest", _with_arm(policy="random_discount", mean_discount=float("nan"))),
+    ("abtest", _with_arm(policy="random_discount", std_discount=float("inf"))),
+    ("simulate", {"grid": [30, float("nan"), 50]}),
+    ("simulate", {"grid": [30, 40, float("inf")]}),
+    ("simulate", {"grid": [30, 40, 10 ** 400]}),
+    ("abtest", {**_with_arm(policy="human"), "grid": [30, float("nan"), 50]}),
+    ("simulate", {"n_sessions": -3}),
+    ("simulate", {"n_sessions": 0}),
 ])
 def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, capsys,
                                                           command, doc):
@@ -315,6 +328,25 @@ def test_negative_seed_flag_is_data_error(tmp_path, capsys, monkeypatch, command
     err = capsys.readouterr().err
     assert err.startswith("error: bad seed:")
     assert "Traceback" not in err
+
+
+def test_session_count_is_checked_before_calibration(tmp_path, capsys, monkeypatch):
+    import ancillary_pricing.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_spec_from_cfg",
+                        lambda cfg, seed: pytest.fail("the market came before n_sessions"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SIM_CFG, "n_sessions": -3}))
+    assert cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad n_sessions:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", ["30,nan,50", "30,40,inf"])
+def test_non_finite_grid_flag_is_usage_error(tmp_path, capsys, grid):
+    assert cli(["train", "--model", "gnb", "--data", str(tmp_path / "none.jsonl"),
+                "--out", str(tmp_path / "o.json"), "--grid", grid]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model,flags", [

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ancillary_pricing.core import (
+    CategoricalFeature,
     PriceGrid,
     Quote,
     PolicyTag,
@@ -115,6 +118,13 @@ class TestEncode:
         assert vec.shape == (schema.dim,)
         assert vec.dtype == np.float64
 
+    def test_repeated_level_sets_its_first_column(self, make_session):
+        schema = fit_schema([make_session(days_to_departure=1), make_session(days_to_departure=3)])
+        cat = CategoricalFeature("booking_class", ("A", "B", "A"))
+        schema = dataclasses.replace(schema, categorical=(cat,))
+        vec = encode(make_session(booking_class="A"), schema)
+        assert vec[-4:].tolist() == [1.0, 0.0, 0.0, 0.0]
+
     def test_encode_matrix_shape(self, make_session):
         sessions = [make_session(days_to_departure=d) for d in range(4)]
         schema = fit_schema(sessions)
@@ -171,6 +181,12 @@ class TestTypes:
     def test_grid_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PriceGrid((0.0, 10.0))
+
+    @pytest.mark.parametrize("prices", [(30.0, float("nan"), 50.0), (30.0, float("inf")),
+                                        (float("nan"), 30.0), (float("-inf"), 30.0)])
+    def test_grid_rejects_non_finite(self, prices):
+        with pytest.raises(ValueError, match="finite"):
+            PriceGrid(prices)
 
     def test_session_invariants(self, make_session):
         with pytest.raises(ValueError):
