@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -241,6 +242,8 @@ def _cmd_train(args) -> int:
             check_multipliers(args.c1, args.c2)
         if args.model == "gnbc" and args.k < 1:
             raise ValueError(f"--k must be at least 1, got {args.k}")
+        if args.p_ref is not None and not (math.isfinite(args.p_ref) and args.p_ref > 0):
+            raise ValueError(f"--p-ref must be positive and finite, got {args.p_ref}")
     except ValueError as exc:
         raise ConfigError(f"bad train settings: {exc}")
     sessions = read_sessions(args.data)

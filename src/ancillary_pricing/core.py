@@ -200,15 +200,11 @@ class Quote:
 class DemandModel(Protocol):
     """Purchase-probability estimator f(x, P) in [0, 1].
 
-    ``quote`` needs only ``predict_proba`` and the one-session form of
-    ``predict_proba_grid``; ``quote_batch`` of APP-DES needs the
-    ``features[n, d] -> [n, g]`` form, and that of APP-LM, like the
-    ``score_batch`` of both, needs ``predict_proba_rows``. Each batch row
-    must equal its session alone.
+    APP-DES quotes through the ``features[n, d] -> [n, g]`` form of
+    ``predict_proba_grid``; APP-LM quotes, and both score, through
+    ``predict_proba_rows``. Each batch row must equal its session alone.
+    Only ``policies.des_recommend`` still uses the one-session grid form.
     """
-
-    def predict_proba(self, features: np.ndarray, price: float) -> float:
-        ...
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
         """Every candidate price for one session ``features[d] -> [g]``, or
@@ -216,8 +212,8 @@ class DemandModel(Protocol):
         ...
 
     def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """``predict_proba(features[i], prices[i])`` for each row of
-        ``features[n, d]``, as an ``[n]`` array."""
+        """The probability of each row of ``features[n, d]`` at its price
+        ``prices[i]``, as an ``[n]`` array."""
         ...
 
 

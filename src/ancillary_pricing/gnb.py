@@ -18,6 +18,11 @@ from .errors import DimensionMismatch, SingleClassDataset, TooFewSamples
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _predict_one(model, features: np.ndarray, price: float) -> float:
+    """``predict_proba`` of both models: the one-row ``predict_proba_rows``."""
+    return float(model.predict_proba_rows(np.atleast_2d(features), np.array([price]))[0])
+
+
 @dataclass(frozen=True)
 class GnbModel:
     """Per-class Gaussian feature likelihoods with floored variances.
@@ -52,11 +57,7 @@ class GnbModel:
                             axis=-1)
         return np.stack([self.log_prior0 + ll0, self.log_prior1 + ll1], axis=-1)
 
-    def predict_proba(self, features: np.ndarray, price: float) -> float:
-        self._check_dim(features)
-        row = np.append(features, price / self.p_max)
-        joint = self._log_joint(row)
-        return float(_posterior_from_joint(joint[..., 0], joint[..., 1]))
+    predict_proba = _predict_one
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
         """Every price for one session ``features[d] -> [g]``, or for each of
@@ -67,27 +68,24 @@ class GnbModel:
         return _posterior_from_joint(joint[..., 0], joint[..., 1])
 
     def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """Posterior per (row, price) pair; one row per session. Each equals
-        ``predict_proba(features[i], prices[i])``: the rows are C-ordered,
-        so each row's sum runs in the same order as for a single row."""
-        if features.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"expected {self.n_features} features, got {features.shape[1]}")
+        """Posterior per (row, price) pair of ``features[n, d]``; one row per
+        session. The rows are C-ordered, so each row's sum runs in the same
+        order whether the session is scored alone or in a batch."""
+        self._check_dim(features)
         rows = np.column_stack([features, np.asarray(prices, dtype=float) / self.p_max])
         joint = self._log_joint(np.ascontiguousarray(rows))
         return _posterior_from_joint(joint[:, 0], joint[:, 1])
 
 
-def _posterior_from_joint(j0, j1):
+def _posterior_from_joint(j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
     # p(y=1|x) = sigmoid(j1 - j0), computed stably and kept inside (0, 1)
-    z = np.atleast_1d(np.asarray(j1 - j0, dtype=float))
+    z = j1 - j0
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    out = np.clip(out, 1e-15, 1.0 - 1e-15)
-    return out if np.ndim(j1) else float(out[0])
+    return np.clip(out, 1e-15, 1.0 - 1e-15)
 
 
 def fit_gnb(train: EncodedDataset, eps_var: float = 1e-6) -> GnbModel:
@@ -186,8 +184,7 @@ class GnbcModel:
         onehot[np.arange(len(pts)), self.kmeans.assign(pts)] = 1.0
         return np.hstack([pts, onehot])
 
-    def predict_proba(self, features: np.ndarray, price: float) -> float:
-        return self.gnb.predict_proba(self._augment(features)[0], price)
+    predict_proba = _predict_one
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
         augmented = self._augment(features)

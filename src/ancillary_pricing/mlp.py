@@ -9,6 +9,7 @@ forward-loss-backward step against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -54,10 +55,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.decay < 0:
-            raise ValueError("decay must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got "
+                             f"{self.learning_rate}")
+        if not (math.isfinite(self.decay) and self.decay >= 0):
+            raise ValueError(f"decay must be finite and non-negative, got {self.decay}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
@@ -271,10 +273,6 @@ class MlpDemandModel:
     def n_features(self) -> int:
         return self.mlp.input_dim - 1
 
-    def predict_proba(self, features: np.ndarray, price: float) -> float:
-        row = np.append(features, price / self.p_max)
-        return float(forward(self.mlp, row))
-
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
         """Every price for one session ``features[d] -> [g]``, or for each of
         many ``features[n, d] -> [n, g]``.
@@ -287,8 +285,9 @@ class MlpDemandModel:
         return forward(self.mlp, grid_rows(features, np.asarray(prices, dtype=float) / self.p_max))
 
     def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """``predict_proba(features[i], prices[i])`` for each row, bit for bit:
-        each row goes through the network as its own (1, d+1) matrix."""
+        """Probability per (row, price) pair of ``features[n, d]``. Each row
+        goes through the network as its own (1, d+1) matrix, so a session
+        gets the same bits alone as in a batch."""
         rows = np.column_stack([features, np.asarray(prices, dtype=float) / self.p_max])
         return forward(self.mlp, np.ascontiguousarray(rows)[:, None, :])[:, 0]
 

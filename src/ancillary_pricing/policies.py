@@ -2,15 +2,16 @@
 
 The operations take explicit random draws where randomness is involved, so
 every function here is referentially transparent. The policy classes wrap
-them behind a uniform ``quote(session, rng)`` interface for the A/B
-harness, the evaluation report, and the serving layer; the report also
-scores each block of sessions through ``score_batch``.
+them behind a uniform ``quote_batch(sessions, rngs)`` interface for the
+A/B harness and the evaluation report; the serving layer's
+``quote(session, rng)`` is its one-session case for every model policy.
+The report also scores each block of sessions through ``score_batch``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Protocol, Sequence, TypeVar
 
 import numpy as np
@@ -22,11 +23,11 @@ from .core import (
     PriceGrid,
     Quote,
     SessionRecord,
-    encode,
+    encode,  # unused here; perfbench/layers.py wraps it by name in this module
     encode_matrix,
     snap_to_grid,
 )
-from .pricing_net import DnnClModel, recommend_price
+from .pricing_net import DnnClModel
 
 # Sessions priced per quote_batch call by run_abtest and records_for_policy:
 # it bounds the memory of a batch (an (n, grid, features) tensor for APP-DES)
@@ -45,6 +46,7 @@ class LogisticMapParams:
     midpoint: float
 
     def __post_init__(self):
+        _check_finite_fields(self)
         if self.max_price <= 0:
             raise ValueError("max_price must be positive")
         if self.shape <= 0:
@@ -62,6 +64,14 @@ def _is_finite_number(v) -> bool:
         return False
 
 
+def _check_finite_fields(params) -> None:
+    """Refuse a parameter dataclass with a field that is not a finite number."""
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if not _is_finite_number(v):
+            raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class RandomDiscountParams:
     """Gaussian discount noise below a static reference price."""
@@ -71,10 +81,7 @@ class RandomDiscountParams:
     static_price: float
 
     def __post_init__(self):
-        for name in ("mean_discount", "std_discount", "static_price"):
-            v = getattr(self, name)
-            if not _is_finite_number(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
+        _check_finite_fields(self)
         if self.std_discount < 0:
             raise ValueError("std_discount must be non-negative")
         if self.static_price <= 0:
@@ -82,8 +89,15 @@ class RandomDiscountParams:
 
 
 def logistic_map(prob: float, params: LogisticMapParams, grid: PriceGrid) -> float:
-    """Map a purchase probability to a price, clamped into the grid range."""
-    raw = params.max_price / (1.0 + math.exp(-params.shape * (prob - params.midpoint)))
+    """Map a purchase probability to a price, clamped into the grid range.
+
+    Where the exponential is past any float (a steep map far below its
+    midpoint) the map's limit, 0, is clamped to ``p_min``.
+    """
+    try:
+        raw = params.max_price / (1.0 + math.exp(-params.shape * (prob - params.midpoint)))
+    except OverflowError:
+        raw = 0.0
     return grid.clamp(raw)
 
 
@@ -108,15 +122,9 @@ def _des_quote(probs: np.ndarray, grid: PriceGrid, model_version: str) -> Quote:
     )
 
 
-def app_lm_recommend(model: DemandModel, features: np.ndarray, p_ref: float,
-                     params: LogisticMapParams, grid: PriceGrid,
-                     model_version: str = "dev") -> Quote:
-    """Probability at the reference price, then the logistic price map."""
-    return _app_lm_quote(model.predict_proba(features, p_ref), params, grid, model_version)
-
-
 def _app_lm_quote(prob: float, params: LogisticMapParams, grid: PriceGrid,
                   model_version: str) -> Quote:
+    """The logistic-map quote from one session's probability at the reference price."""
     return Quote(
         recommended_price=logistic_map(prob, params, grid),
         policy_tag=PolicyTag.APP_LM,
@@ -152,7 +160,8 @@ class PricingPolicy(Protocol):
     """Maps a raw session to a price quote; rng covers any exploration.
 
     ``quote_batch(sessions, rngs)[i]`` equals ``quote(sessions[i], rngs[i])``
-    bit for bit, and draws from ``rngs[i]`` in the same order.
+    bit for bit, and draws from ``rngs[i]`` in the same order: a model
+    policy's ``quote`` is ``_quote_one``, the one-session ``quote_batch``.
     ``score_batch(sessions)[i]`` is the purchase-probability estimate at
     ``sessions[i].price_offered``; the whole result is None for a policy
     that estimates none.
@@ -223,6 +232,12 @@ def _check_batch_shape(model, method: str, probs: np.ndarray, shape: tuple) -> N
                          f"for a batch of shape {shape}; see core.DemandModel")
 
 
+def _quote_one(policy: PricingPolicy, session: SessionRecord,
+               rng: np.random.Generator) -> Quote:
+    """``quote`` of a policy that prices in batches: its one-session case."""
+    return quote_all(policy, [session], [rng])[0]
+
+
 def _probs_at(model: DemandModel, schema: EncodingSchema,
               sessions: Sequence[SessionRecord], prices) -> np.ndarray:
     """``model.predict_proba_rows`` of the encoded sessions, one price each."""
@@ -255,10 +270,7 @@ class AppLmPolicy:
         if not (math.isfinite(self.p_ref) and self.p_ref > 0):
             raise ValueError(f"p_ref must be positive and finite, got {self.p_ref}")
 
-    def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
-        x = encode(session, self.schema)
-        return app_lm_recommend(self.model, x, self.p_ref, self.logistic, self.grid,
-                                model_version=self.model_version)
+    quote = _quote_one
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
         probs = _probs_at(self.model, self.schema, sessions, np.full(len(sessions), self.p_ref))
@@ -276,9 +288,7 @@ class AppDesPolicy:
     name: str = "APP-DES"
     model_version: str = "dev"
 
-    def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
-        x = encode(session, self.schema)
-        return des_recommend(self.model, x, self.grid, model_version=self.model_version)
+    quote = _quote_one
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
         x = encode_matrix(sessions, self.schema)
@@ -297,9 +307,7 @@ class DnnClPolicy:
     name: str = "DNN-CL"
     model_version: str = "dev"
 
-    def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
-        x = encode(session, self.schema)
-        return recommend_price(self.model, x, model_version=self.model_version)
+    quote = _quote_one
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
         raw = self.model.raw_price_batch(encode_matrix(sessions, self.schema))
@@ -325,14 +333,10 @@ class EpsilonGreedyPolicy:
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
 
-    def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
-        u = float(rng.uniform())
-        q_explore = self.explore.quote(session, rng)
-        q_exploit = self.exploit.quote(session, rng)
-        return self._choose(u, q_explore, q_exploit)
+    quote = _quote_one
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
-        # Per stream the draws keep the scalar order: u, then explore's, then exploit's.
+        # Per stream the draws come in this order: u, then explore's, then exploit's.
         us = [float(rng.uniform()) for rng in rngs]
         explore = quote_all(self.explore, sessions, rngs)
         exploit = quote_all(self.exploit, sessions, rngs)

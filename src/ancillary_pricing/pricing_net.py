@@ -13,6 +13,7 @@ independent oracle for ``custom_loss``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -145,8 +146,8 @@ def check_multipliers(c1: float, c2: float) -> None:
     """The hinge-loss bounds ``c1 * wtp`` and ``c2 * wtp`` need 0 < c1 < 1 < c2."""
     if not 0.0 < c1 < 1.0:
         raise ValueError(f"c1 must lie in (0, 1), got {c1}")
-    if c2 <= 1.0:
-        raise ValueError(f"c2 must exceed 1, got {c2}")
+    if not 1.0 < c2 < math.inf:
+        raise ValueError(f"c2 must be finite and exceed 1, got {c2}")
 
 
 @dataclass(frozen=True)
@@ -165,16 +166,13 @@ class DnnClModel:
     def n_features(self) -> int:
         return self.mlp.input_dim
 
-    def raw_price(self, features: np.ndarray) -> float:
-        s = forward(self.mlp, np.asarray(features, dtype=float))
-        return self.grid.p_min + s * (self.grid.p_max - self.grid.p_min)
-
     def raw_price_batch(self, features: np.ndarray) -> np.ndarray:
-        """``raw_price`` of each row of ``features[n, d]``, bit for bit.
+        """The network's unsnapped price for each row of ``features[n, d]``
+        (or of one row ``features[d]``).
 
         Each row goes through the network as its own (1, d) matrix of a
-        stacked (n, 1, d) tensor: one flat (n, d) matmul would round
-        differently from the single-row path.
+        stacked (n, 1, d) tensor, so a session gets the same bits alone as
+        in a batch; one flat (n, d) matmul would round differently.
         """
         x = np.ascontiguousarray(np.atleast_2d(np.asarray(features, dtype=float)))
         s = forward(self.mlp, x[:, None, :])[:, 0]
@@ -223,9 +221,9 @@ def custom_loss_on_output(grid: PriceGrid, labels: np.ndarray, c1: float,
 
 def recommend_price(model: DnnClModel, features: np.ndarray,
                     model_version: str = "dev") -> Quote:
-    """Serve the grid price nearest the network's raw recommendation."""
-    raw = model.raw_price(features)
-    idx = snap_to_grid(raw, model.grid)
+    """Serve the grid price nearest the network's raw recommendation for
+    one session: row 0 of ``raw_price_batch``."""
+    idx = snap_to_grid(float(model.raw_price_batch(features)[0]), model.grid)
     return Quote(
         recommended_price=model.grid.prices[idx],
         policy_tag=PolicyTag.DNN_CL,

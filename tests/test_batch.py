@@ -1,11 +1,11 @@
 """Batch paths equal their scalar paths bit for bit.
 
 ``encode`` and ``encode_matrix`` against the per-row encoder they replaced,
-each policy's ``quote_batch`` against
-its ``quote``, ``score_batch`` against the per-session score it replaced,
-``run_abtest`` against the one-session-at-a-time loop it replaced (the
-oracles kept below), and the array form of ``snap_to_grid`` against the
-scalar form.
+each policy's ``quote`` and ``quote_batch`` against the per-session pricing
+bodies they replaced, ``score_batch`` against the per-session score it
+replaced, ``run_abtest`` against the one-session-at-a-time loop it replaced
+(the oracles kept below), and the array form of ``snap_to_grid`` against
+the scalar form.
 """
 
 import dataclasses
@@ -22,7 +22,9 @@ from ancillary_pricing.checkpoint import PricingBundle
 from ancillary_pricing.core import (
     BASE_CATEGORICAL,
     BASE_NUMERIC,
+    PolicyTag,
     PriceGrid,
+    Quote,
     SessionRecord,
     encode,
     encode_dataset,
@@ -32,9 +34,9 @@ from ancillary_pricing.core import (
     snap_to_grid,
 )
 from ancillary_pricing.errors import SchemaMismatch
-from ancillary_pricing.gnb import fit_gnb, fit_gnbc
+from ancillary_pricing.gnb import GnbcModel, fit_gnb, fit_gnbc
 from ancillary_pricing.metrics import OfferOutcome, build_report, records_for_policy
-from ancillary_pricing.mlp import MlpDemandModel, TrainConfig, train_app
+from ancillary_pricing.mlp import MlpDemandModel, TrainConfig, forward, train_app
 from ancillary_pricing.policies import (
     AppDesPolicy,
     AppLmPolicy,
@@ -44,9 +46,15 @@ from ancillary_pricing.policies import (
     RandomDiscountParams,
     RandomDiscountPolicy,
     StaticPricePolicy,
+    logistic_map,
     quote_all,
 )
-from ancillary_pricing.pricing_net import casewise_loss, custom_loss, train_dnncl
+from ancillary_pricing.pricing_net import (
+    casewise_loss,
+    custom_loss,
+    recommend_price,
+    train_dnncl,
+)
 from ancillary_pricing.simulator import (
     DEFAULT_GRID,
     AbConfig,
@@ -259,22 +267,82 @@ POLICY_NAMES = ["HUMAN", "RANDOM", "APP-LM/gnb", "APP-LM/gnbc", "APP-LM/mlp", "A
                 "EPS-GREEDY/lm-random", "EPS-GREEDY/random-random"]
 
 
+# The per-session pricing bodies that ``quote`` and ``quote_batch`` replaced.
+
+def _oracle_posterior(j0, j1) -> float:
+    """The scalar branch ``gnb._posterior_from_joint`` had."""
+    z = np.atleast_1d(np.asarray(j1 - j0, dtype=float))
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return float(np.clip(out, 1e-15, 1.0 - 1e-15)[0])
+
+
+def _oracle_proba(model, features, price) -> float:
+    """The one-row ``predict_proba`` of GNB, GNBC and the MLP demand model."""
+    if isinstance(model, GnbcModel):
+        return _oracle_proba(model.gnb, model._augment(features)[0], price)
+    row = np.append(features, price / model.p_max)
+    if isinstance(model, MlpDemandModel):
+        return float(forward(model.mlp, row))
+    joint = model._log_joint(row)
+    return _oracle_posterior(joint[..., 0], joint[..., 1])
+
+
+def _oracle_raw_price(model, features) -> float:
+    """The one-row ``DnnClModel.raw_price``."""
+    s = forward(model.mlp, np.asarray(features, dtype=float))
+    return model.grid.p_min + s * (model.grid.p_max - model.grid.p_min)
+
+
+def _oracle_quote(policy, session, rng) -> Quote:
+    """A model policy's per-session ``quote`` body; HUMAN and RANDOM keep theirs."""
+    if isinstance(policy, EpsilonGreedyPolicy):
+        u = float(rng.uniform())
+        explore = _oracle_quote(policy.explore, session, rng)
+        exploit = _oracle_quote(policy.exploit, session, rng)
+        chosen = explore if u < policy.eps else exploit
+        return Quote(chosen.recommended_price, PolicyTag.EPS_GREEDY,
+                     chosen.purchase_prob_estimate, chosen.model_version)
+    if not isinstance(policy, (AppLmPolicy, AppDesPolicy, DnnClPolicy)):
+        return policy.quote(session, rng)
+    x = encode(session, policy.schema)
+    if isinstance(policy, AppLmPolicy):
+        prob = _oracle_proba(policy.model, x, policy.p_ref)
+        return Quote(logistic_map(prob, policy.logistic, policy.grid), PolicyTag.APP_LM,
+                     prob, policy.model_version)
+    if isinstance(policy, AppDesPolicy):
+        prices = policy.grid.as_array()
+        probs = policy.model.predict_proba_grid(x, prices)
+        best = int(np.argmax(prices * probs))
+        return Quote(policy.grid.prices[best], PolicyTag.APP_DES, float(probs[best]),
+                     policy.model_version)
+    grid = policy.model.grid
+    raw = _oracle_raw_price(policy.model, x)
+    return Quote(grid.prices[snap_to_grid(raw, grid)], PolicyTag.DNN_CL,
+                 model_version=policy.model_version)
+
+
 @pytest.mark.parametrize("name", POLICY_NAMES)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300))
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_quote_batch_equals_quote_bitwise(policies, name, seed, n):
+    """``quote`` session by session and ``quote_batch`` over all of them
+    each give the oracle's quotes and leave each stream where it does."""
     policy = policies[name]
     sessions = [sim.record for sim in
                 (gen_session(SPEC, session_stream(seed, i)) for i in range(n))]
-    scalar_rngs = [session_stream(seed + 1, i) for i in range(n)]
-    batch_rngs = [session_stream(seed + 1, i) for i in range(n)]
-    expected = [policy.quote(s, rng) for s, rng in zip(sessions, scalar_rngs)]
-    got = policy.quote_batch(sessions, batch_rngs)
-    assert [_exact(q) for q in got] == [_exact(q) for q in expected]
-    # Each stream is left where the scalar path leaves it.
-    assert ([r.bit_generator.state for r in batch_rngs]
-            == [r.bit_generator.state for r in scalar_rngs])
+    oracle_rngs, quote_rngs, batch_rngs = (
+        [session_stream(seed + 1, i) for i in range(n)] for _ in range(3))
+    expected = [_exact(_oracle_quote(policy, s, rng)) for s, rng in zip(sessions, oracle_rngs)]
+    assert [_exact(policy.quote(s, rng)) for s, rng in zip(sessions, quote_rngs)] == expected
+    assert [_exact(q) for q in policy.quote_batch(sessions, batch_rngs)] == expected
+    states = [r.bit_generator.state for r in oracle_rngs]
+    assert [r.bit_generator.state for r in quote_rngs] == states
+    assert [r.bit_generator.state for r in batch_rngs] == states
 
 
 def test_single_session_grid_rows_keep_the_column_stack_layout():
@@ -299,18 +367,29 @@ def test_predict_proba_grid_rows_equal_single_sessions(policies, name):
 
 
 def test_raw_price_batch_equals_raw_price(policies):
-    policy = policies["DNN-CL"]
-    x = encode_matrix(export_sessions(SPEC, 300, seed=12), policy.schema)
-    batch = policy.model.raw_price_batch(x)
-    assert [_exact(v) for v in batch.tolist()] == [_exact(policy.model.raw_price(f)) for f in x]
+    model = policies["DNN-CL"].model
+    x = encode_matrix(export_sessions(SPEC, 300, seed=12), policies["DNN-CL"].schema)
+    expected = [_oracle_raw_price(model, f) for f in x]
+    assert [_exact(v) for v in model.raw_price_batch(x).tolist()] == [_exact(v) for v in expected]
+    assert ([_exact(recommend_price(model, f).recommended_price) for f in x]
+            == [_exact(model.grid.prices[snap_to_grid(v, model.grid)]) for v in expected])
+
+
+@pytest.mark.parametrize("name", ["APP-LM/gnb", "APP-LM/gnbc"])
+def test_gnb_predict_proba_equals_the_one_row_oracle(policies, name):
+    policy = policies[name]
+    sessions = export_sessions(SPEC, 200, seed=15, price_noise=NOISE, grid=GRID)
+    x = encode_matrix(sessions, policy.schema)
+    got = [policy.model.predict_proba(f, s.price_offered) for f, s in zip(x, sessions)]
+    assert all(type(v) is float for v in got)
+    assert ([_exact(v) for v in got]
+            == [_exact(_oracle_proba(policy.model, f, s.price_offered))
+                for f, s in zip(x, sessions)])
 
 
 class _OneSessionProb:
-    """A demand model with only the one-session grid form: for a batch it
-    returns one (g,) row, as the ``ConstProb`` test stub does."""
-
-    def predict_proba(self, features, price):
-        return 0.4
+    """A demand model with only the one-session forms: for a batch it
+    returns one (g,) row and one probability."""
 
     def predict_proba_grid(self, features, prices):
         return np.full(len(prices), 0.4)
@@ -368,7 +447,7 @@ def _scalar_scores(policy, sessions):
     ``encode`` and a one-row ``predict_proba`` at the offered price, made by
     the exploiting policy of an EPS-GREEDY."""
     scorer = getattr(policy, "exploit", policy)
-    return [scorer.model.predict_proba(encode(s, scorer.schema), s.price_offered)
+    return [_oracle_proba(scorer.model, encode(s, scorer.schema), s.price_offered)
             for s in sessions]
 
 
@@ -435,7 +514,7 @@ def _scalar_abtest(spec, config):
             index += 1
             sim = gen_session(spec, rng)
             arm = config.arms[int(np.searchsorted(cum_splits, rng.uniform(), side="right"))]
-            quote = arm.policy.quote(sim.record, rng)
+            quote = _oracle_quote(arm.policy, sim.record, rng)
             y = simulate_decision(sim, quote.recommended_price)
             outcomes[arm.name].append(OfferOutcome(price=quote.recommended_price, purchased=y))
             c = counts[arm.name]

@@ -67,10 +67,10 @@ def test_round_trip_identical_posteriors(trained, tmp_path, model_type):
     save_checkpoint(bundle, path)
     loaded = load_checkpoint(path)
     feats = encode_matrix(probes, schema)
-    for row in feats:
-        for price in (32.0, 41.0, 50.0):
-            assert (bundle.model.predict_proba(row, price)
-                    == loaded.model.predict_proba(row, price))
+    for price in (32.0, 41.0, 50.0):
+        prices = np.full(len(feats), price)
+        assert (bundle.model.predict_proba_rows(feats, prices).tobytes()
+                == loaded.model.predict_proba_rows(feats, prices).tobytes())
 
 
 def test_corrupted_parameter_rejected(trained, tmp_path):

@@ -298,6 +298,8 @@ def _market(**fields) -> dict:
     ("abtest", {**_with_arm(policy="human"), "grid": [30, float("nan"), 50]}),
     ("simulate", {"n_sessions": -3}),
     ("simulate", {"n_sessions": 0}),
+    ("abtest", _with_arm(**_APP_LM, logistic={"max_price": float("nan"), "shape": 12.0,
+                                              "midpoint": 0.35})),
 ])
 def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, capsys,
                                                           command, doc):
@@ -349,6 +351,26 @@ def test_non_finite_grid_flag_is_usage_error(tmp_path, capsys, grid):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("logistic", ["nan,12,0.35", "50,inf,0.35", "50,12,nan"])
+def test_non_finite_logistic_flag_is_usage_error(tmp_path, capsys, logistic):
+    assert cli(["train", "--model", "gnb", "--data", str(tmp_path / "none.jsonl"),
+                "--out", str(tmp_path / "o.json"), "--logistic", logistic]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_steep_logistic_map_quotes_p_min(workdir, tmp_path, capsys):
+    """exp(-shape * (prob - midpoint)) overflows a float: the price is p_min."""
+    ckpt = tmp_path / "steep.ckpt.json"
+    assert cli(["train", "--model", "gnb", "--data", str(workdir / "train.jsonl"),
+                "--out", str(ckpt), "--grid", GRID_ARG, "--logistic", "50,3000,0.35"]) == 0
+    capsys.readouterr()
+    doc = session_to_dict(export_sessions(default_market_spec(), 1, seed=42)[0])
+    assert cli(["recommend", "--ckpt", str(ckpt), "--session", json.dumps(doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["purchase_prob"] < 0.35 - 709.8 / 3000  # the exponent is past exp's range
+    assert out["recommended_price"] == 30.0
+
+
 @pytest.mark.parametrize("model,flags", [
     ("app-dnn", ["--epochs", "-1"]),
     ("app-dnn", ["--dropout", "1.5"]),
@@ -357,6 +379,12 @@ def test_non_finite_grid_flag_is_usage_error(tmp_path, capsys, grid):
     ("dnn-cl", ["--c1", "2"]),
     ("gnbc", ["--k", "0"]),
     ("gnbc", ["--seed", "-1"]),
+    ("app-dnn", ["--lr", "nan"]),  # non-finite settings: refused, not a non-finite loss
+    ("app-dnn", ["--decay", "inf"]),
+    ("dnn-cl", ["--c2", "inf"]),
+    ("dnn-cl", ["--c2", "nan"]),
+    ("gnb", ["--p-ref", "nan"]),  # refused before fitting, not after
+    ("gnb", ["--p-ref", "-5"]),
 ])
 def test_train_setting_is_checked_before_the_data_is_read(tmp_path, capsys, model, flags):
     """The log does not exist: the settings error must come first."""

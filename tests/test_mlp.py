@@ -138,6 +138,13 @@ def _toy_separable(n=400, seed=0):
     return EncodedDataset(features=feats, prices=prices, labels=labels, p_max=50.0)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "decay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_train_config_refuses_a_non_finite_rate(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
 class TestTrainApp:
     def test_separable_toy_reaches_high_auc(self):
         train = _toy_separable()

@@ -13,7 +13,6 @@ from ancillary_pricing.policies import (
     RandomDiscountParams,
     RandomDiscountPolicy,
     StaticPricePolicy,
-    app_lm_recommend,
     des_recommend,
     epsilon_greedy,
     logistic_map,
@@ -28,22 +27,33 @@ WIDE = PriceGrid((0.5, 100.0))
 class ConstProb:
     p: float
 
-    def predict_proba(self, features, price):
-        return self.p
-
     def predict_proba_grid(self, features, prices):
-        return np.full(len(prices), self.p)
+        return np.full((*np.shape(features)[:-1], len(prices)), self.p)
+
+    def predict_proba_rows(self, features, prices):
+        return np.full(len(features), self.p)
 
 
 @dataclass
 class TableProb:
+    """The same probability per grid price for every session; ``probs[0]``
+    at any single price."""
+
     probs: np.ndarray
 
-    def predict_proba(self, features, price):
-        return float(self.probs[0])
-
     def predict_proba_grid(self, features, prices):
-        return np.asarray(self.probs, dtype=float)
+        probs = np.asarray(self.probs, dtype=float)
+        return np.broadcast_to(probs, (*np.shape(features)[:-1], len(probs)))
+
+    def predict_proba_rows(self, features, prices):
+        return np.full(len(features), float(self.probs[0]))
+
+
+@pytest.fixture
+def schema(make_session):
+    sessions = [make_session(days_to_departure=d, price_comparison_score=0.1 * d)
+                for d in range(6)]
+    return fit_schema(sessions)
 
 
 class TestLogisticMap:
@@ -71,6 +81,21 @@ class TestLogisticMap:
         params = LogisticMapParams(max_price=50.0, shape=10.0, midpoint=0.5)
         assert logistic_map(0.0, params, grid3) == grid3.p_min
         assert logistic_map(1.0, params, grid3) == grid3.p_max
+
+    def test_steep_map_past_any_float_clamps_to_p_min(self, grid3):
+        # exp(3000 * 0.35) overflows a float; the map's limit there is 0.
+        params = LogisticMapParams(max_price=50.0, shape=3000.0, midpoint=0.35)
+        assert logistic_map(0.0, params, grid3) == grid3.p_min
+        assert logistic_map(1.0, params, grid3) == grid3.p_max
+
+    @pytest.mark.parametrize("fields", [
+        {"max_price": math.nan}, {"max_price": math.inf}, {"shape": math.inf},
+        {"shape": math.nan}, {"midpoint": math.nan}, {"max_price": True},
+        {"shape": "12"}, {"max_price": 10 ** 400},
+    ])
+    def test_params_must_be_finite_numbers(self, fields):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            LogisticMapParams(**{"max_price": 50.0, "shape": 12.0, "midpoint": 0.35, **fields})
 
 
 def _brute_force_best(prices, probs):
@@ -120,21 +145,28 @@ class TestDesRecommend:
 
 
 class TestAppLmRecommend:
-    def test_midpoint_probability_maps_to_half_max(self):
-        params = LogisticMapParams(max_price=50.0, shape=10.0, midpoint=0.5)
-        quote = app_lm_recommend(ConstProb(0.5), np.zeros(1), 40.0, params, WIDE)
+    """``AppLmPolicy.quote``: the probability at the reference price, then
+    the logistic price map."""
+
+    PARAMS = LogisticMapParams(max_price=50.0, shape=10.0, midpoint=0.5)
+
+    def _quote(self, prob, schema, make_session):
+        policy = AppLmPolicy(model=ConstProb(prob), schema=schema, grid=WIDE,
+                             logistic=self.PARAMS, p_ref=40.0)
+        return policy.quote(make_session(), np.random.default_rng(0))
+
+    def test_midpoint_probability_maps_to_half_max(self, schema, make_session):
+        quote = self._quote(0.5, schema, make_session)
         assert quote.recommended_price == pytest.approx(25.0)
         assert quote.policy_tag is PolicyTag.APP_LM
 
-    def test_deterministic(self):
-        params = LogisticMapParams(max_price=50.0, shape=10.0, midpoint=0.5)
-        q1 = app_lm_recommend(ConstProb(0.31), np.zeros(1), 40.0, params, WIDE)
-        q2 = app_lm_recommend(ConstProb(0.31), np.zeros(1), 40.0, params, WIDE)
+    def test_deterministic(self, schema, make_session):
+        q1 = self._quote(0.31, schema, make_session)
+        q2 = self._quote(0.31, schema, make_session)
         assert q1.recommended_price == q2.recommended_price
 
-    def test_composed_oracles(self):
-        params = LogisticMapParams(max_price=50.0, shape=10.0, midpoint=0.5)
-        quote = app_lm_recommend(ConstProb(0.7), np.zeros(1), 40.0, params, WIDE)
+    def test_composed_oracles(self, schema, make_session):
+        quote = self._quote(0.7, schema, make_session)
         assert quote.recommended_price == pytest.approx(50.0 / (1.0 + math.exp(-2.0)),
                                                         abs=1e-9)
         assert quote.purchase_prob_estimate == pytest.approx(0.7)
@@ -204,12 +236,6 @@ class TestStaticPrice:
 
 
 class TestPolicyAdapters:
-    @pytest.fixture
-    def schema(self, make_session):
-        sessions = [make_session(days_to_departure=d, price_comparison_score=0.1 * d)
-                    for d in range(6)]
-        return fit_schema(sessions)
-
     def test_every_policy_stays_in_grid(self, schema, make_session, grid3):
         rng = np.random.default_rng(5)
         session = make_session(days_to_departure=3)

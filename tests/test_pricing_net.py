@@ -184,6 +184,9 @@ class TestDnnClModel:
             DnnClModel(mlp=mlp, grid=grid3, c1=1.2, c2=1.5)
         with pytest.raises(ValueError):
             DnnClModel(mlp=mlp, grid=grid3, c1=0.8, c2=0.9)
+        for c2 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="c2 must be finite"):
+                DnnClModel(mlp=mlp, grid=grid3, c1=0.8, c2=c2)
 
     def test_raw_price_spans_grid_range(self, grid3):
         rng = np.random.default_rng(1)
