@@ -244,6 +244,10 @@ def _cmd_train(args) -> int:
             raise ValueError(f"--k must be at least 1, got {args.k}")
         if args.p_ref is not None and not (math.isfinite(args.p_ref) and args.p_ref > 0):
             raise ValueError(f"--p-ref must be positive and finite, got {args.p_ref}")
+        if args.model in ("app-dnn", "dnn-cl") and (args.logistic is not None
+                                                     or args.p_ref is not None):
+            raise ValueError(f"--logistic and --p-ref apply to gnb and gnbc only, "
+                             f"not {args.model}")
     except ValueError as exc:
         raise ConfigError(f"bad train settings: {exc}")
     sessions = read_sessions(args.data)

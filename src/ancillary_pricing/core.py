@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import AllFeaturesDegenerate, EmptyDataset, SchemaMismatch
+from .errors import AllFeaturesDegenerate, EmptyDataset, NonFiniteInput, SchemaMismatch
 
 # Base features extracted from every SessionRecord, in encoding order.
 # Extra features (per-session name -> value maps) follow, sorted by name.
@@ -200,21 +200,37 @@ class Quote:
 class DemandModel(Protocol):
     """Purchase-probability estimator f(x, P) in [0, 1].
 
-    APP-DES quotes through the ``features[n, d] -> [n, g]`` form of
-    ``predict_proba_grid``; APP-LM quotes, and both score, through
-    ``predict_proba_rows``. Each batch row must equal its session alone.
-    Only ``policies.des_recommend`` still uses the one-session grid form.
+    ``predict_proba_grid`` is its one prediction method. APP-DES reads it
+    over the whole grid; APP-LM quotes, and both score, through
+    ``predict_proba_rows``, its one-price case. Each batch row must equal
+    its session alone. Only ``policies.des_recommend`` still uses the
+    one-session form ``features[d] -> [g]``.
     """
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """Every candidate price for one session ``features[d] -> [g]``, or
-        for each of many sessions ``features[n, d] -> [n, g]``."""
+        """The probability of each row of ``features[n, d]`` at each of
+        ``prices``: a grid ``[g]`` shared by every row, or each row's own
+        prices ``[n, g]``. Gives ``[n, g]``."""
         ...
 
-    def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """The probability of each row of ``features[n, d]`` at its price
-        ``prices[i]``, as an ``[n]`` array."""
-        ...
+
+def predict_proba_rows(model: DemandModel, features: np.ndarray,
+                       prices: np.ndarray) -> np.ndarray:
+    """The probability of each row of ``features[n, d]`` at its own price
+    ``prices[i]``, as an ``[n]`` array: the one-price case of
+    ``predict_proba_grid``."""
+    return model.predict_proba_grid(features, np.asarray(prices, dtype=float)[:, None])[:, 0]
+
+
+def sigmoid(z: np.ndarray, clip: float) -> np.ndarray:
+    """The logistic function, computed stably on each side of 0 and kept
+    inside ``[clip, 1 - clip]``."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, clip, 1.0 - clip)
 
 
 def _feature_getter(name: str) -> Callable[[SessionRecord], object]:
@@ -302,7 +318,7 @@ def encode_matrix(sessions: Sequence[SessionRecord], schema: EncodingSchema) -> 
     reads 0 when absent. A categorical feature is one-hot over its levels
     plus a trailing bucket for an unseen level or an absent value. The
     first bad session raises: ``SchemaMismatch`` for a required feature
-    that is absent or a numeric one that is not a number, ``ValueError``
+    that is absent or a numeric one that is not a number, ``NonFiniteInput``
     for a row that is not finite.
     """
     numeric, categorical = schema._plan
@@ -323,7 +339,7 @@ def encode_matrix(sessions: Sequence[SessionRecord], schema: EncodingSchema) -> 
             else:
                 row.append((float(v) - mean) / std)
         if not all(map(math.isfinite, row)):
-            raise ValueError("feature vector contains non-finite values")
+            raise NonFiniteInput("feature vector contains non-finite values")
         for get, index, width in categorical:
             hot = [0.0] * width
             v = get(session)
@@ -360,17 +376,18 @@ def encode_dataset(sessions: Sequence[SessionRecord], schema: EncodingSchema,
 
 
 def grid_rows(features: np.ndarray, scaled_prices: np.ndarray) -> np.ndarray:
-    """Model input rows (features, scaled price) for every grid price.
+    """Model input rows (features, scaled price) for every price.
 
-    ``features[d]`` gives ``[g, d+1]`` and ``features[n, d]`` gives
-    ``[n, g, d+1]``. Each session's (g, d+1) block is in Fortran order, as
-    ``column_stack`` over a broadcast lays it out: sums over a row and
-    matmuls round in an order that depends on the layout, so one session
-    gets the same bits whether it is priced alone or in a batch.
+    ``features[d]`` with prices ``[g]`` gives ``[g, d+1]``; ``features[n, d]``
+    with a grid ``[g]`` shared by every row, or with each row's own prices
+    ``[n, g]``, gives ``[n, g, d+1]``. Each session's (g, d+1) block is in
+    Fortran order, as ``column_stack`` over a broadcast lays it out: sums
+    over a row and matmuls round in an order that depends on the layout, so
+    one session gets the same bits whether it is priced alone or in a batch.
     """
     features = np.asarray(features, dtype=float)
     *lead, d = features.shape
-    buf = np.empty((*lead, d + 1, len(scaled_prices)))
+    buf = np.empty((*lead, d + 1, np.shape(scaled_prices)[-1]))
     buf[..., :d, :] = features[..., None]
     buf[..., d, :] = scaled_prices
     return np.swapaxes(buf, -1, -2)

@@ -20,6 +20,10 @@ class SchemaMismatch(PricingError):
     pass
 
 
+class NonFiniteInput(PricingError, ValueError):
+    """A session whose features, or whose demand estimate, are not finite."""
+
+
 # --- model fitting / inference ------------------------------------------
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EncodedDataset, grid_rows
+from .core import EncodedDataset, grid_rows, predict_proba_rows, sigmoid
 from .errors import DimensionMismatch, SingleClassDataset, TooFewSamples
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -58,34 +58,16 @@ class GnbModel:
         return np.stack([self.log_prior0 + ll0, self.log_prior1 + ll1], axis=-1)
 
     predict_proba = _predict_one
+    predict_proba_rows = predict_proba_rows
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """Every price for one session ``features[d] -> [g]``, or for each of
-        many ``features[n, d] -> [n, g]``, each row bit-identical to the
-        session priced alone (see ``grid_rows``)."""
+        """``core.DemandModel.predict_proba_grid``, also for one session
+        ``features[d] -> [g]``; each row is bit-identical to the session
+        priced alone (see ``grid_rows``). The posterior p(y=1|x) is the
+        sigmoid of the log-joint difference."""
         self._check_dim(features)
         joint = self._log_joint(grid_rows(features, np.asarray(prices, dtype=float) / self.p_max))
-        return _posterior_from_joint(joint[..., 0], joint[..., 1])
-
-    def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """Posterior per (row, price) pair of ``features[n, d]``; one row per
-        session. The rows are C-ordered, so each row's sum runs in the same
-        order whether the session is scored alone or in a batch."""
-        self._check_dim(features)
-        rows = np.column_stack([features, np.asarray(prices, dtype=float) / self.p_max])
-        joint = self._log_joint(np.ascontiguousarray(rows))
-        return _posterior_from_joint(joint[:, 0], joint[:, 1])
-
-
-def _posterior_from_joint(j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
-    # p(y=1|x) = sigmoid(j1 - j0), computed stably and kept inside (0, 1)
-    z = j1 - j0
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, 1e-15, 1.0 - 1e-15)
+        return sigmoid(joint[..., 1] - joint[..., 0], 1e-15)
 
 
 def fit_gnb(train: EncodedDataset, eps_var: float = 1e-6) -> GnbModel:
@@ -185,14 +167,12 @@ class GnbcModel:
         return np.hstack([pts, onehot])
 
     predict_proba = _predict_one
+    predict_proba_rows = predict_proba_rows
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
         augmented = self._augment(features)
         return self.gnb.predict_proba_grid(augmented if np.ndim(features) > 1 else augmented[0],
                                            prices)
-
-    def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        return self.gnb.predict_proba_rows(self._augment(features), prices)
 
 
 def fit_gnbc(train: EncodedDataset, k: int = 8, seed: int = 0,

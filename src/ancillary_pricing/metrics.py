@@ -29,7 +29,6 @@ class EvalRecord:
     recommended_price: float
     purchased: int
     score: float | None = None
-    revenue: float = 0.0
 
     def __post_init__(self):
         if self.offered_price <= 0 or self.recommended_price <= 0:
@@ -207,7 +206,6 @@ def records_for_policy(policy, sessions, seed: int) -> list[EvalRecord]:
                 recommended_price=quote.recommended_price,
                 purchased=int(session.purchased),
                 score=score,
-                revenue=session.price_offered * int(session.purchased),
             ))
     return records
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EncodedDataset, grid_rows
+from .core import EncodedDataset, grid_rows, predict_proba_rows, sigmoid
 from .errors import (
     BadArchitecture,
     DimensionMismatch,
@@ -95,15 +95,6 @@ def init_mlp(sizes: Sequence[int], seed: int = 0) -> MlpModel:
     return MlpModel(sizes=sizes, weights=weights, biases=biases, seed=seed)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, 1e-12, 1.0 - 1e-12)
-
-
 def _forward_cached(model: MlpModel, inputs: np.ndarray, *, train: bool,
                     dropout_rate: float, rng: np.random.Generator | None):
     """All layer activations plus the dropout masks actually applied.
@@ -126,7 +117,7 @@ def _forward_cached(model: MlpModel, inputs: np.ndarray, *, train: bool,
             else:
                 masks.append(None)
         else:
-            a = _sigmoid(z)
+            a = sigmoid(z, 1e-12)
         activations.append(a)
     return activations, masks
 
@@ -274,8 +265,8 @@ class MlpDemandModel:
         return self.mlp.input_dim - 1
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """Every price for one session ``features[d] -> [g]``, or for each of
-        many ``features[n, d] -> [n, g]``.
+        """``core.DemandModel.predict_proba_grid``, also for one session
+        ``features[d] -> [g]``.
 
         A batch goes through the network as a stacked (n, g, d+1) tensor, so
         each session takes the same (g, d+1) matmuls as on its own and its
@@ -284,12 +275,7 @@ class MlpDemandModel:
         """
         return forward(self.mlp, grid_rows(features, np.asarray(prices, dtype=float) / self.p_max))
 
-    def predict_proba_rows(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """Probability per (row, price) pair of ``features[n, d]``. Each row
-        goes through the network as its own (1, d+1) matrix, so a session
-        gets the same bits alone as in a batch."""
-        rows = np.column_stack([features, np.asarray(prices, dtype=float) / self.p_max])
-        return forward(self.mlp, np.ascontiguousarray(rows)[:, None, :])[:, 0]
+    predict_proba_rows = predict_proba_rows
 
 
 def grad_check(model: MlpModel, loss_fn: Callable, inputs: np.ndarray,

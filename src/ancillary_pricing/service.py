@@ -20,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .errors import ParseError, SchemaMismatch
+from .errors import NonFiniteInput, ParseError, SchemaMismatch
 from .policies import PricingPolicy
 from .session_io import session_from_dict
 
@@ -128,7 +128,7 @@ class _Handler(BaseHTTPRequestHandler):
             policy: PricingPolicy = self.server.service.policy
             try:
                 quote = policy.quote(session, np.random.default_rng(0))
-            except SchemaMismatch as exc:
+            except (SchemaMismatch, NonFiniteInput) as exc:
                 self._reply(422, {"error": str(exc)})
                 return
             self._reply(200, quote.to_dict())

@@ -180,8 +180,8 @@ def simulate_decision(session: SimSession, offered: float) -> int:
     return 1 if session.wtp >= offered else 0
 
 
-def calibrate(spec: MarketSpec, target_rate: float, static_price: float | None = None,
-              n: int = 100_000, seed: int = 0) -> MarketSpec:
+def calibrate(spec: MarketSpec, target_rate: float, n: int = 100_000,
+              seed: int = 0) -> MarketSpec:
     """Shift every sub-market's base log-WTP until the conversion at the
     static price hits the target within 0.005.
 
@@ -190,11 +190,10 @@ def calibrate(spec: MarketSpec, target_rate: float, static_price: float | None =
     """
     if not 0.0 < target_rate < 1.0:
         raise CalibrationDiverged(f"target rate must lie in (0, 1), got {target_rate}")
-    price = spec.static_price if static_price is None else static_price
     wtps = np.array([gen_session(spec, rng).wtp for rng in streams(seed, 0, 0, n)])
 
     def conversion(shift: float) -> float:
-        return float(np.mean(wtps * math.exp(shift) >= price))
+        return float(np.mean(wtps * math.exp(shift) >= spec.static_price))
 
     lo, hi = -20.0, 20.0
     if not conversion(lo) <= target_rate <= conversion(hi):

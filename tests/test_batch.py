@@ -2,7 +2,8 @@
 
 ``encode`` and ``encode_matrix`` against the per-row encoder they replaced,
 each policy's ``quote`` and ``quote_batch`` against the per-session pricing
-bodies they replaced, ``score_batch`` against the per-session score it
+bodies they replaced, ``predict_proba_rows`` against the per-model rows
+bodies it replaced, ``score_batch`` against the per-session score it
 replaced, ``run_abtest`` against the one-session-at-a-time loop it replaced
 (the oracles kept below), and the array form of ``snap_to_grid`` against
 the scalar form.
@@ -31,9 +32,11 @@ from ancillary_pricing.core import (
     encode_matrix,
     fit_schema,
     grid_rows,
+    predict_proba_rows,
+    sigmoid,
     snap_to_grid,
 )
-from ancillary_pricing.errors import SchemaMismatch
+from ancillary_pricing.errors import NonFiniteInput, SchemaMismatch
 from ancillary_pricing.gnb import GnbcModel, fit_gnb, fit_gnbc
 from ancillary_pricing.metrics import OfferOutcome, build_report, records_for_policy
 from ancillary_pricing.mlp import MlpDemandModel, TrainConfig, forward, train_app
@@ -165,7 +168,7 @@ def _oracle_encode(session, schema):
         out[i:i + len(block)] = block
         i += len(block)
     if not np.all(np.isfinite(out)):
-        raise ValueError("feature vector contains non-finite values")
+        raise NonFiniteInput("feature vector contains non-finite values")
     return out
 
 
@@ -269,15 +272,16 @@ POLICY_NAMES = ["HUMAN", "RANDOM", "APP-LM/gnb", "APP-LM/gnbc", "APP-LM/mlp", "A
 
 # The per-session pricing bodies that ``quote`` and ``quote_batch`` replaced.
 
-def _oracle_posterior(j0, j1) -> float:
-    """The scalar branch ``gnb._posterior_from_joint`` had."""
-    z = np.atleast_1d(np.asarray(j1 - j0, dtype=float))
+def _oracle_sigmoid(z, clip) -> np.ndarray:
+    """The stable sigmoid that ``gnb._posterior_from_joint`` (clip 1e-15)
+    and ``mlp._sigmoid`` (clip 1e-12) each had."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return float(np.clip(out, 1e-15, 1.0 - 1e-15)[0])
+    return np.clip(out, clip, 1.0 - clip)
 
 
 def _oracle_proba(model, features, price) -> float:
@@ -288,7 +292,28 @@ def _oracle_proba(model, features, price) -> float:
     if isinstance(model, MlpDemandModel):
         return float(forward(model.mlp, row))
     joint = model._log_joint(row)
-    return _oracle_posterior(joint[..., 0], joint[..., 1])
+    return float(_oracle_sigmoid(joint[..., 1] - joint[..., 0], 1e-15)[0])
+
+
+def _oracle_rows(model, features, prices) -> np.ndarray:
+    """The ``predict_proba_rows`` body each model had before it became the
+    one-price case of ``predict_proba_grid``: C-ordered ``column_stack``
+    rows, for the MLP each row a (1, d+1) matrix of its own."""
+    if isinstance(model, GnbcModel):
+        return _oracle_rows(model.gnb, model._augment(features), prices)
+    rows = np.column_stack([features, np.asarray(prices, dtype=float) / model.p_max])
+    rows = np.ascontiguousarray(rows)
+    if isinstance(model, MlpDemandModel):
+        return forward(model.mlp, rows[:, None, :])[:, 0]
+    joint = model._log_joint(rows)
+    return _oracle_sigmoid(joint[:, 1] - joint[:, 0], 1e-15)
+
+
+def _oracle_des_quote(probs, grid, model_version) -> Quote:
+    """The APP-DES selection for one session's probabilities over the grid,
+    row by row as it was before ``_des_quotes`` took a block."""
+    best = int(np.argmax(grid.as_array() * probs))  # first maximum: lowest price on ties
+    return Quote(grid.prices[best], PolicyTag.APP_DES, float(probs[best]), model_version)
 
 
 def _oracle_raw_price(model, features) -> float:
@@ -314,11 +339,8 @@ def _oracle_quote(policy, session, rng) -> Quote:
         return Quote(logistic_map(prob, policy.logistic, policy.grid), PolicyTag.APP_LM,
                      prob, policy.model_version)
     if isinstance(policy, AppDesPolicy):
-        prices = policy.grid.as_array()
-        probs = policy.model.predict_proba_grid(x, prices)
-        best = int(np.argmax(prices * probs))
-        return Quote(policy.grid.prices[best], PolicyTag.APP_DES, float(probs[best]),
-                     policy.model_version)
+        return _oracle_des_quote(policy.model.predict_proba_grid(x, policy.grid.as_array()),
+                                 policy.grid, policy.model_version)
     grid = policy.model.grid
     raw = _oracle_raw_price(policy.model, x)
     return Quote(grid.prices[snap_to_grid(raw, grid)], PolicyTag.DNN_CL,
@@ -388,14 +410,41 @@ def test_gnb_predict_proba_equals_the_one_row_oracle(policies, name):
 
 
 class _OneSessionProb:
-    """A demand model with only the one-session forms: for a batch it
-    returns one (g,) row and one probability."""
+    """A demand model with only the one-session form: for a batch it
+    returns one row of ``len(prices)`` probabilities."""
 
     def predict_proba_grid(self, features, prices):
         return np.full(len(prices), 0.4)
 
-    def predict_proba_rows(self, features, prices):
-        return np.array([0.4])
+
+@pytest.mark.parametrize("name", ["APP-DES/gnb", "APP-DES/gnbc", "APP-DES/mlp"])
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([0, 1, len(GRID), 300]),
+       data=st.data())
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_rows_and_des_block_equal_their_oracles(policies, name, seed, n, data):
+    """Each row at its own price, and the APP-DES quotes of a block, give
+    the bytes of the bodies they replaced. At n == len(GRID) a price array
+    sized by ``len`` instead of its last axis would still broadcast."""
+    policy = policies[name]
+    sessions = [sim.record for sim in
+                (gen_session(SPEC, session_stream(seed, i)) for i in range(n))]
+    x = encode_matrix(sessions, policy.schema)
+    prices = np.array(data.draw(st.lists(st.floats(0.01, 1e4), min_size=n, max_size=n)))
+    expected = _oracle_rows(policy.model, x, prices).tobytes()
+    assert predict_proba_rows(policy.model, x, prices).tobytes() == expected
+    assert policy.model.predict_proba_rows(x, prices).tobytes() == expected
+    rngs = [session_stream(seed + 1, i) for i in range(n)]
+    assert ([_exact(q) for q in policy.quote_batch(sessions, rngs)]
+            == [_exact(_oracle_quote(policy, s, rng)) for s, rng in zip(sessions, rngs)])
+
+
+@given(z=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30),
+       clip=st.sampled_from([1e-15, 1e-12]))
+@settings(max_examples=100)
+def test_sigmoid_equals_the_two_it_replaced(z, clip):
+    z = np.array(z, dtype=float)
+    assert sigmoid(z, clip).tobytes() == _oracle_sigmoid(z, clip).tobytes()
 
 
 @pytest.mark.parametrize("n", [5, len(GRID), 300])

@@ -134,6 +134,20 @@ def test_recommend_non_finite_price_is_data_error(workdir):
                 "--session", json.dumps(doc)]) == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("days_to_departure", 10 ** 300),  # both class likelihoods vanish: a NaN posterior
+    ("extra_features", {"route_popularity": 1.7e308}),  # overflows its z-score
+], ids=["huge-days", "huge-extra"])
+def test_recommend_finite_but_huge_number_is_data_error(workdir, capsys, field, value):
+    doc = session_to_dict(export_sessions(default_market_spec(), 1, seed=42)[0])
+    doc[field] = value
+    assert cli(["recommend", "--ckpt", str(workdir / "gnbc.ckpt.json"),
+                "--session", json.dumps(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_corrupted_checkpoint_is_data_error(workdir, tmp_path):
     doc = json.loads((workdir / "gnb.ckpt.json").read_text())
     doc["params"]["log_prior0"] = -0.123456
@@ -385,6 +399,10 @@ def test_steep_logistic_map_quotes_p_min(workdir, tmp_path, capsys):
     ("dnn-cl", ["--c2", "nan"]),
     ("gnb", ["--p-ref", "nan"]),  # refused before fitting, not after
     ("gnb", ["--p-ref", "-5"]),
+    ("app-dnn", ["--logistic", "50,12,0.35"]),  # APP-LM settings a network would drop
+    ("app-dnn", ["--p-ref", "40"]),
+    ("dnn-cl", ["--logistic", "50,12,0.35"]),
+    ("dnn-cl", ["--p-ref", "40"]),
 ])
 def test_train_setting_is_checked_before_the_data_is_read(tmp_path, capsys, model, flags):
     """The log does not exist: the settings error must come first."""
@@ -483,10 +501,10 @@ def test_simulate_market_pair_of_other_arity_is_data_error(tmp_path, capsys, pai
     assert capsys.readouterr().err.startswith("error: bad market spec:")
 
 
-def test_abtest_loads_each_checkpoint_once(workdir, tmp_path, monkeypatch):
-    import ancillary_pricing.cli as cli_module
-
-    cfg = {
+def _six_arm_cfg(workdir: Path) -> dict:
+    """A one-day abtest of 300 sessions over every policy kind, naming one
+    checkpoint by relative, absolute and ``./`` paths."""
+    return {
         "market": "default",
         "grid": SIM_CFG["grid"],
         "days": 1,
@@ -506,6 +524,12 @@ def test_abtest_loads_each_checkpoint_once(workdir, tmp_path, monkeypatch):
              "exploit_checkpoint": "./app-dnn.ckpt.json"},
         ],
     }
+
+
+def test_abtest_loads_each_checkpoint_once(workdir, tmp_path, monkeypatch):
+    import ancillary_pricing.cli as cli_module
+
+    cfg = _six_arm_cfg(workdir)
     cfg_path = workdir / "ab_six.json"
     cfg_path.write_text(json.dumps(cfg))
     loads = []
@@ -525,3 +549,15 @@ def test_abtest_loads_each_checkpoint_once(workdir, tmp_path, monkeypatch):
     assert cli(["abtest", "--config", str(cfg_path), "--out", str(separate)]) == 0
     assert len(loads) == 5
     assert shared.read_bytes() == separate.read_bytes()
+
+
+def test_abtest_output_is_pinned(workdir, tmp_path):
+    """SHA-256 of a seeded six-arm ``abtest.json``, taken before the demand
+    models each had one prediction body: a change to what any arm quotes
+    or to how the result is written must show here."""
+    cfg_path = workdir / "ab_pin.json"  # the relative checkpoint paths resolve here
+    cfg_path.write_text(json.dumps(_six_arm_cfg(workdir)))
+    out = tmp_path / "abtest.json"
+    assert cli(["abtest", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3e35d95c19fed09b1bf3d56b7b54ed46cca20c7f6b0d55179fa505e176bcf9a5")

@@ -28,25 +28,18 @@ class ConstProb:
     p: float
 
     def predict_proba_grid(self, features, prices):
-        return np.full((*np.shape(features)[:-1], len(prices)), self.p)
-
-    def predict_proba_rows(self, features, prices):
-        return np.full(len(features), self.p)
+        return np.full((*np.shape(features)[:-1], np.shape(prices)[-1]), self.p)
 
 
 @dataclass
 class TableProb:
-    """The same probability per grid price for every session; ``probs[0]``
-    at any single price."""
+    """The same probability per grid price for every session."""
 
     probs: np.ndarray
 
     def predict_proba_grid(self, features, prices):
         probs = np.asarray(self.probs, dtype=float)
         return np.broadcast_to(probs, (*np.shape(features)[:-1], len(probs)))
-
-    def predict_proba_rows(self, features, prices):
-        return np.full(len(features), float(self.probs[0]))
 
 
 @pytest.fixture

@@ -146,6 +146,10 @@ def test_wrong_type_is_unprocessable(service):
     ("price_comparison_score", float("-inf")),
     ("price_offered", float("inf")),
     ("price_offered", float("nan")),
+    # Finite but huge: both GNB class likelihoods vanish (a NaN posterior), or
+    # the z-score overflows.
+    pytest.param("days_to_departure", 10 ** 300, id="days_to_departure-huge"),
+    pytest.param("extra_features", {"route_popularity": 1.7e308}, id="extra_features-huge"),
 ])
 def test_non_finite_number_is_unprocessable(service, field, value):
     svc, _ = service
