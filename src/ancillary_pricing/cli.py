@@ -33,7 +33,6 @@ from .policies import (
     StaticPricePolicy,
 )
 from .pricing_net import check_multipliers, train_dnncl
-from .service import PricingService
 from .session_io import read_sessions, session_from_dict, write_sessions
 from .simulator import (
     DEFAULT_GRID,
@@ -146,11 +145,14 @@ def _parse_logistic(text: str) -> LogisticMapParams:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} is not a JSON object")
+    return doc
 
 
 def _market_from_cfg(cfg: dict):
@@ -172,11 +174,23 @@ def _grid_from_cfg(cfg: dict) -> PriceGrid:
     return DEFAULT_GRID
 
 
-def _int_from_cfg(cfg: dict, key: str, default: int | None = None) -> int:
-    """``cfg[key]`` (or ``default``), refused unless a JSON integer."""
+def _int_from_cfg(cfg: dict, key: str, default: int | None = None,
+                  minimum: int | None = None) -> int:
+    """``cfg[key]`` (or ``default``), refused unless a JSON integer of at
+    least ``minimum``."""
     value = cfg.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"bad {key}: must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"bad {key}: must be at least {minimum}, got {value}")
+    return value
+
+
+def _object_from_cfg(cfg: dict, key: str) -> dict:
+    """``cfg[key]``, refused unless a JSON object."""
+    value = cfg[key]
+    if not isinstance(value, dict):
+        raise ConfigError(f"bad {key}: must be an object, got {value!r}")
     return value
 
 
@@ -189,10 +203,11 @@ def _spec_from_cfg(cfg: dict, seed: int):
     """The config's market, calibrated when the config asks for it."""
     spec = _market_from_cfg(cfg)
     if "calibrate" in cfg:
-        cal = cfg["calibrate"]
+        cal = _object_from_cfg(cfg, "calibrate")
+        n = _int_from_cfg(cal, "sample_size", 100_000, minimum=1)
         try:
             spec = calibrate(spec, cal.get("target_rate", spec.target_base_conversion),
-                             n=cal.get("sample_size", 100_000), seed=seed)
+                             n=n, seed=seed)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad calibrate config: {exc}")
     return spec
@@ -203,15 +218,13 @@ def _cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     if "n_sessions" not in cfg:
         raise ConfigError("simulate config needs 'n_sessions'")
-    n = _int_from_cfg(cfg, "n_sessions")
-    if n < 1:
-        raise ConfigError(f"bad n_sessions: must be at least 1, got {n}")
+    n = _int_from_cfg(cfg, "n_sessions", minimum=1)
     grid = _grid_from_cfg(cfg)
     spec = _spec_from_cfg(cfg, args.seed)
     noise = None
     try:
         if "price_noise" in cfg:
-            pn = cfg["price_noise"]
+            pn = _object_from_cfg(cfg, "price_noise")
             noise = RandomDiscountParams(
                 mean_discount=pn.get("mean_discount", 10.0),
                 std_discount=pn.get("std_discount", 6.0),
@@ -310,6 +323,8 @@ def _arm_from_doc(doc: dict, grid: PriceGrid, static_price: float,
         split = float(doc["split"])
     except KeyError as exc:
         raise ConfigError(f"arm is missing key {exc}")
+    if not isinstance(name, str):
+        raise ConfigError(f"bad arm name: must be a string, got {name!r}")
 
     def bundle_at(key: str) -> PricingBundle:
         if key not in doc:
@@ -394,6 +409,8 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .service import PricingService  # the HTTP stack loads for serve only
+
     bundle = load_checkpoint(args.ckpt)
     addr = os.environ.get(ADDR_ENV_VAR) or args.addr
     host, _, port_text = addr.rpartition(":")
@@ -421,10 +438,7 @@ def cli(argv=None) -> int:
     logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
-    except PricingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (PricingError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

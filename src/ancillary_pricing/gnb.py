@@ -66,8 +66,13 @@ class GnbModel:
         priced alone (see ``grid_rows``). The posterior p(y=1|x) is the
         sigmoid of the log-joint difference."""
         self._check_dim(features)
-        joint = self._log_joint(grid_rows(features, np.asarray(prices, dtype=float) / self.p_max))
-        return sigmoid(joint[..., 1] - joint[..., 0], 1e-15)
+        rows = grid_rows(features, np.asarray(prices, dtype=float) / self.p_max)
+        # A finite but huge feature overflows quietly; the caller refuses a
+        # non-finite probability (``NonFiniteInput``).
+        with np.errstate(over="ignore", invalid="ignore"):
+            joint = self._log_joint(rows)
+            diff = joint[..., 1] - joint[..., 0]
+        return sigmoid(diff, 1e-15)
 
 
 def fit_gnb(train: EncodedDataset, eps_var: float = 1e-6) -> GnbModel:
@@ -109,7 +114,8 @@ class KMeansModel:
     def assign(self, features: np.ndarray) -> np.ndarray:
         """Nearest-centroid labels; ties go to the lower cluster index."""
         pts = np.atleast_2d(features)
-        d2 = ((pts[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in GnbModel.predict_proba_grid
+            d2 = ((pts[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
         return np.argmin(d2, axis=1)
 
 

@@ -256,6 +256,9 @@ class AbConfig:
     def __post_init__(self):
         if len(self.arms) < 2:
             raise ValueError("an A/B test needs at least 2 arms")
+        if not all(0.0 <= a.split <= 1.0 for a in self.arms):  # NaN fails too
+            raise ValueError(f"each traffic split must lie in [0, 1], got "
+                             f"{[a.split for a in self.arms]}")
         total = sum(a.split for a in self.arms)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"traffic splits must sum to 1, got {total}")

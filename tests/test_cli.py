@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -146,6 +150,43 @@ def test_recommend_finite_but_huge_number_is_data_error(workdir, capsys, field, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["gnb", "gnbc"])
+def test_refused_huge_number_prints_no_numpy_warning(workdir, capsys, model):
+    """The overflow on the way to ``NonFiniteInput`` stays quiet: the
+    refusal is the one line the caller sees."""
+    doc = session_to_dict(export_sessions(default_market_spec(), 1, seed=42)[0])
+    doc["days_to_departure"] = 10 ** 300
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli(["recommend", "--ckpt", str(workdir / f"{model}.ckpt.json"),
+                    "--session", json.dumps(doc)]) == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_checkpoint_path_naming_a_directory_is_data_error(workdir, tmp_path, capsys):
+    doc = session_to_dict(export_sessions(default_market_spec(), 1, seed=42)[0])
+    assert cli(["recommend", "--ckpt", str(tmp_path), "--session", json.dumps(doc)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    cfg_path = tmp_path / "ab.json"  # "" resolves to the config's own directory
+    cfg_path.write_text(json.dumps({
+        "market": "default", "grid": SIM_CFG["grid"], "days": 1, "sessions_per_day": 10,
+        **_with_arm(policy="app_lm", checkpoint="")}))
+    assert cli(["abtest", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag,name", [("--config", "."), ("--out", "."),
+                                       ("--config", "sim.json/x")])
+def test_config_or_output_path_that_is_no_file_is_data_error(workdir, tmp_path, capsys,
+                                                             flag, name):
+    paths = {"--config": str(workdir / "sim.json"), "--out": str(tmp_path / "o.jsonl"),
+             flag: str(workdir / name)}
+    assert cli(["simulate", "--config", paths["--config"], "--out", paths["--out"]]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_corrupted_checkpoint_is_data_error(workdir, tmp_path):
@@ -314,6 +355,12 @@ def _market(**fields) -> dict:
     ("simulate", {"n_sessions": 0}),
     ("abtest", _with_arm(**_APP_LM, logistic={"max_price": float("nan"), "shape": 12.0,
                                               "midpoint": 0.35})),
+    ("simulate", {"price_noise": 5}),  # objects only
+    ("simulate", {"calibrate": 5}),
+    ("abtest", _with_arm(policy="human", split=float("nan"))),  # passes the sum check
+    ("abtest", {"arms": [{"name": "A", "policy": "human", "split": 1.5},
+                         {"name": "B", "policy": "human", "split": -0.5}]}),
+    ("abtest", _with_arm(policy="human", name=5)),  # names are strings
 ])
 def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, capsys,
                                                           command, doc):
@@ -356,6 +403,49 @@ def test_session_count_is_checked_before_calibration(tmp_path, capsys, monkeypat
     assert cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: bad n_sessions:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("size", [1e308, float("inf"), 2.5, 0, -1, True, "x"])
+def test_sample_size_is_checked_before_calibration(tmp_path, capsys, monkeypatch, size):
+    import ancillary_pricing.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "calibrate",
+                        lambda *a, **k: pytest.fail("calibrated before sample_size was checked"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SIM_CFG,
+                                    "calibrate": {"target_rate": 0.06, "sample_size": size}}))
+    assert cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad sample_size:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "abtest"])
+def test_config_that_is_no_object_is_data_error(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[]")
+    assert cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_batch_commands_do_not_load_the_http_stack(tmp_path):
+    """Only ``serve`` imports the service. Checked in a fresh interpreter,
+    because this one has imported the service for its own tests."""
+    cfg_path = tmp_path / "ab.json"
+    cfg_path.write_text(json.dumps({
+        "market": "default", "grid": SIM_CFG["grid"], "days": 1, "sessions_per_day": 10,
+        "arms": [{"name": "HUMAN", "policy": "human", "split": 0.5},
+                 {"name": "RANDOM", "policy": "random_discount", "split": 0.5}]}))
+    script = ("import sys\n"
+              "from ancillary_pricing.cli import cli\n"
+              "assert cli(['abtest', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+              "print([m for m in sys.argv[3:] if m in sys.modules])\n")
+    http_stack = ["http.server", "http.client", "email.parser", "socketserver", "uuid"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg_path), str(tmp_path / "o.json"), *http_stack],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("grid", ["30,nan,50", "30,40,inf"])
