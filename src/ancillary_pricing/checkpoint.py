@@ -112,6 +112,8 @@ def load_checkpoint(path: str | Path) -> PricingBundle:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ChecksumMismatch(f"checkpoint is not valid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ChecksumMismatch(f"checkpoint is not UTF-8: {exc.reason}") from exc
     if not isinstance(doc, dict):
         raise ChecksumMismatch("checkpoint is not a JSON object")
     version = doc.get("format_version")

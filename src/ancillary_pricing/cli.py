@@ -39,6 +39,7 @@ from .simulator import (
     AbConfig,
     ArmSpec,
     calibrate,
+    check_draws,
     default_market_spec,
     export_sessions,
     market_spec_from_doc,
@@ -150,6 +151,8 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc.reason}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} is not a JSON object")
     return doc
@@ -160,7 +163,7 @@ def _market_from_cfg(cfg: dict):
     if market == "default":
         return default_market_spec()
     try:
-        return market_spec_from_doc(market)
+        return check_draws(market_spec_from_doc(market))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad market spec: {exc}")
 
@@ -206,8 +209,8 @@ def _spec_from_cfg(cfg: dict, seed: int):
         cal = _object_from_cfg(cfg, "calibrate")
         n = _int_from_cfg(cal, "sample_size", 100_000, minimum=1)
         try:
-            spec = calibrate(spec, cal.get("target_rate", spec.target_base_conversion),
-                             n=n, seed=seed)
+            spec = check_draws(calibrate(
+                spec, cal.get("target_rate", spec.target_base_conversion), n=n, seed=seed))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad calibrate config: {exc}")
     return spec

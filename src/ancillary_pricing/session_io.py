@@ -122,9 +122,14 @@ def session_to_dict(session: SessionRecord) -> dict:
 
 
 def read_sessions(source: str | Path | IO[str]) -> list[SessionRecord]:
-    """Parse a session log; raises ParseError with the offending line number."""
+    """Parse a session log; raises ParseError with the offending line number.
+
+    A file is read with ``surrogateescape``, which splits its lines as the
+    strict codec would and leaves each byte that is not UTF-8 as a lone
+    surrogate, so the line holding one is refused by its number.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return _read_lines(fh)
     return _read_lines(source)
 
@@ -136,7 +141,11 @@ def _read_lines(lines: Iterable[str]) -> list[SessionRecord]:
         if not stripped:
             continue
         try:
+            if not stripped.isascii():
+                stripped.encode("utf-8")
             obj = json.loads(stripped)
+        except UnicodeEncodeError as exc:
+            raise ParseError(lineno, "not UTF-8") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
         out.append(session_from_dict(obj, line=lineno))

@@ -16,6 +16,7 @@ derives the streams of a block of sessions in one array pass.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -50,6 +51,11 @@ def choice_table(weights) -> list[float]:
 
 
 CLASS_TABLE = choice_table(CLASS_PROBS)
+# gen_session returns math.exp(log-WTP), which overflows above this.
+MAX_LOG_WTP = math.log(sys.float_info.max)
+# Standard deviations a normal draw is allowed in the log-WTP bound; numpy's
+# ziggurat returns none beyond about 12.3.
+NORMAL_SPAN = 40.0
 
 
 @dataclass(frozen=True)
@@ -101,13 +107,37 @@ class MarketSpec:
             raise ValueError(f"sub-market weights must sum to 1, got {total}")
         if self.static_price <= 0:
             raise ValueError("static_price must be positive")
-        for name in ("dtd_max", "los_max"):
+        for name in ("dtd_max", "los_max"):  # gen_session draws below dtd_max + 1 in int64
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value < 2**63:
+                raise ValueError(f"{name} must be an integer in [1, 2**63), got {value!r}")
         if not 0.0 <= self.one_way_share <= 1.0:
             raise ValueError(f"one_way_share must lie in [0, 1], got {self.one_way_share}")
+        bumps = list(self.booking_class_bumps.values())
+        if not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bumps):
+            raise ValueError(f"booking_class_bumps must map to numbers, got {bumps!r}")
         object.__setattr__(self, "_sub_market_table", choice_table(weights))
+
+
+def max_log_wtp(spec: MarketSpec, sm: SubMarket) -> float:
+    """A bound on the log-WTP gen_session draws in ``sm``: every term of its
+    sum at its largest, a normal draw NORMAL_SPAN deviations out."""
+    return (sm.wtp_log_mean + abs(sm.dtd_slope) + max(sm.los_bonus, 0.0)
+            + 4 * abs(sm.group_slope) + NORMAL_SPAN * abs(sm.pcs_slope)
+            + abs(sm.popularity_slope) * (abs(sm.popularity) + 0.3 * NORMAL_SPAN)
+            + max([0.0, *spec.booking_class_bumps.values()])
+            + NORMAL_SPAN * sm.wtp_log_std)
+
+
+def check_draws(spec: MarketSpec) -> MarketSpec:
+    """``spec``, after a ValueError if a WTP gen_session draws from it could
+    overflow. A config is checked here rather than in ``MarketSpec``, whose
+    fields may hold any finite value."""
+    for sm in spec.sub_markets:
+        if not max_log_wtp(spec, sm) < MAX_LOG_WTP:  # NaN fails too
+            raise ValueError(f"sub-market {sm.name!r} can draw a log-WTP over "
+                             f"{MAX_LOG_WTP:.2f}, whose WTP overflows")
+    return spec
 
 
 @dataclass(frozen=True)

@@ -651,3 +651,54 @@ def test_abtest_output_is_pinned(workdir, tmp_path):
     assert cli(["abtest", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "3e35d95c19fed09b1bf3d56b7b54ed46cca20c7f6b0d55179fa505e176bcf9a5")
+
+
+@pytest.mark.parametrize("command", ["recommend", "simulate", "abtest", "train", "evaluate"])
+def test_file_that_is_not_utf8_is_data_error(workdir, tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    out = str(tmp_path / "out")
+    argv = {"recommend": ["--ckpt", str(bad), "--session", "{}"],
+            "simulate": ["--config", str(bad), "--out", out],
+            "abtest": ["--config", str(bad), "--out", out],
+            "train": ["--model", "gnb", "--data", str(bad), "--out", out],
+            "evaluate": ["--ckpt", str(workdir / "gnb.ckpt.json"), "--data", str(bad),
+                         "--report", out]}[command]
+    assert cli([command, *argv]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def _sub_market(**fields) -> dict:
+    """The default market's config object with ``fields`` set in its first sub-market."""
+    market = market_spec_to_doc(default_market_spec())
+    market["sub_markets"][0].update(fields)
+    return {"market": market}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("simulate", _sub_market(wtp_log_mean=1e308)),
+    ("simulate", _sub_market(wtp_log_std=2 ** 70)),
+    ("simulate", _sub_market(pcs_slope=1e300)),
+    ("simulate", _sub_market(wtp_log_mean=float("nan"))),
+    ("simulate", _market(booking_class_bumps={"business": 1e308})),
+    ("simulate", _market(booking_class_bumps={"business": "x"})),
+    ("simulate", _market(dtd_max=2 ** 70)),
+    ("simulate", _market(los_max=2 ** 63)),
+    ("abtest", {**_with_arm(policy="human"), **_market(dtd_max=2 ** 70)}),
+    ("abtest", {**_with_arm(policy="human"), **_sub_market(wtp_log_std=2 ** 70)}),
+], ids=["wtp-mean", "wtp-std", "pcs-slope", "wtp-mean-nan", "bump", "bump-not-a-number",
+        "dtd-max", "los-max", "abtest-dtd-max", "abtest-wtp-std"])
+def test_market_value_that_overflows_is_data_error(tmp_path, capsys, command, doc):
+    base = {"n_sessions": 20} if command == "simulate" else {"days": 1, "sessions_per_day": 10}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, **doc}))
+    assert cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad market spec:")
+
+
+def test_largest_int64_draw_bounds_still_simulate(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_sessions": 5, **_market(dtd_max=2 ** 63 - 1,
+                                                          los_max=2 ** 63 - 1)}))
+    assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.jsonl")]) == 0
+    assert len(read_sessions(tmp_path / "o.jsonl")) == 5

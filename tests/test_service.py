@@ -1,4 +1,5 @@
 import http.client
+import io
 import json
 import socket
 import time
@@ -7,6 +8,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ancillary_pricing.checkpoint import PricingBundle
 from ancillary_pricing.core import PriceGrid, encode_dataset, fit_schema
@@ -14,10 +17,17 @@ from ancillary_pricing.gnb import fit_gnb
 from ancillary_pricing.policies import (
     LogisticMapParams,
     RandomDiscountParams,
+    RandomDiscountPolicy,
     StaticPricePolicy,
 )
-from ancillary_pricing.service import MAX_BODY_BYTES, PricingService, _Handler
-from ancillary_pricing.session_io import session_to_dict
+from ancillary_pricing.service import (
+    MAX_BODY_BYTES,
+    PricingService,
+    _Handler,
+    _read_headers,
+    _RefusedHeaders,
+)
+from ancillary_pricing.session_io import session_from_dict, session_to_dict
 from ancillary_pricing.simulator import default_market_spec, export_sessions
 
 GRID = PriceGrid((30.0, 35.0, 40.0, 45.0, 50.0))
@@ -369,3 +379,119 @@ def test_chunked_post_gets_one_reply_and_closes(service):
     assert b"\r\nConnection: close" in head
     assert int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0]) == len(body)
     assert "Transfer-Encoding" in json.loads(body)["error"]
+
+
+# -- the header reader, against http.client.parse_headers as the oracle --
+
+FRAMING = ("Content-Length", "Transfer-Encoding", "Connection", "Expect")
+_NAMES = st.sampled_from(FRAMING + ("Host", "Content-Type", "X-A")).flatmap(
+    lambda n: st.sampled_from((n, n.lower(), n.upper())))
+# No colon, CR or LF; some characters str.strip() drops but HTTP does not.
+_VALUES = st.one_of(
+    st.sampled_from(["2", " 2", "2 ", "2\x0b", "close", "Keep-Alive", "100-continue", "chunked"]),
+    st.text("0127 \tabcklosepv-\x0b\x0c\x85\xa0\xe9", max_size=8))
+
+
+@st.composite
+def _header_line(draw) -> tuple[bool, str]:
+    """(well formed, the line without its end)."""
+    name, value = draw(_NAMES), draw(_VALUES)
+    kind = draw(st.sampled_from(["good"] * 6 + ["blank-before-colon", "fold", "no-colon",
+                                                  "bare-cr"]))
+    ows = draw(st.sampled_from(["", " ", "\t", "  "]))
+    blank = draw(st.sampled_from([" ", "\t"]))
+    if kind == "blank-before-colon":
+        return False, f"{name}{blank}:{ows}{value}"
+    if kind == "fold":
+        return False, f"{blank}{name}:{value}"
+    if kind == "no-colon":
+        return False, f"{name}{blank}{value}"
+    if kind == "bare-cr":
+        return False, f"{name}:{ows}{value}\rx"
+    return True, f"{name}:{ows}{value}"
+
+
+def _conflicting_lengths(lines: list[str]) -> bool:
+    values = {line.partition(":")[2].strip() for line in lines
+              if line.partition(":")[0].lower() == "content-length"}
+    return len(values) > 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_header_line(), max_size=6), st.sampled_from(["\r\n", "\n"]))
+@example([(True, "Content-Length: 2"), (True, "content-length: 2 ")], "\r\n")
+def test_header_reader_agrees_with_http_client(lines, eol):
+    block = "".join(line + eol for _, line in lines) + eol
+    good = all(ok for ok, _ in lines) and not _conflicting_lengths([t for _, t in lines])
+    data = block.encode("iso-8859-1") + b"GET / HTTP/1.1\r\n"  # the next request
+    rfile = io.BytesIO(data)
+    try:
+        ours = _read_headers(rfile)
+    except _RefusedHeaders as err:
+        assert not good
+        assert err.args[0] == 400
+        return
+    assert good
+    assert rfile.read() == b"GET / HTTP/1.1\r\n"
+    theirs = http.client.parse_headers(io.BytesIO(data))
+    assert not theirs.defects
+    for name in FRAMING:
+        assert ours.get(name.lower()) == theirs.get(name)
+
+
+@pytest.mark.parametrize("block,status", [
+    (b"X-A: " + b"b" * 65_537 + b"\r\n\r\n", 431),
+    (b"X-A: b\r\n" * 99 + b"\r\n", None),
+    (b"X-A: b\r\n" * 100 + b"\r\n", 431),
+], ids=["line-too-long", "99-headers", "100-headers"])
+def test_header_reader_keeps_http_client_limits(block, status):
+    try:
+        http.client.parse_headers(io.BytesIO(block))
+        expected = None
+    except http.client.HTTPException:
+        expected = 431
+    assert expected == status
+    try:
+        _read_headers(io.BytesIO(block))
+        got = None
+    except _RefusedHeaders as err:
+        got = err.args[0]
+    assert got == status
+
+
+# A request whose framing two readers could take apart differently.
+@pytest.mark.parametrize("head", [
+    b"Content-Length: 127\r\nContent-Length: 2\r\n",
+    b"Content-Length : 8\r\n",
+    b"Host: x\r\n  y\r\nContent-Length: 0\r\n",
+    b"Host x\r\nContent-Length: 0\r\n",
+    b"Host: a\rb\r\nContent-Length: 0\r\n",
+], ids=["two-lengths", "blank-before-colon", "obs-fold", "no-colon", "bare-cr"])
+def test_ambiguous_framing_is_refused_and_closes(service, head):
+    svc, _ = service
+    got, headers, body = _raw_reply(svc, b"POST /v1/price HTTP/1.1\r\n" + head + b"\r\n")
+    assert got == 400
+    assert headers["Connection"] == "close"
+    assert isinstance(json.loads(body)["error"], str)
+
+
+def test_each_request_draws_a_fresh_seed_0_stream(service):
+    # The handler resets one generator per connection instead of building one.
+    svc, bundle = service
+    doc = _sample_request(seed=21)
+    session = session_from_dict(doc, line=1)
+    policy = RandomDiscountPolicy(RandomDiscountParams(10.0, 6.0, 50.0), GRID)
+    rng = np.random.default_rng(0)
+    expected = policy.quote(session, rng).to_dict()
+    assert policy.quote(session, rng).to_dict() != expected  # a second draw differs
+    host, port = svc.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        svc.swap_policy(policy)
+        for _ in range(2):
+            conn.request("POST", "/v1/price", body=json.dumps(doc).encode())
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) == (200, expected)
+    finally:
+        conn.close()
+        svc.swap_policy(bundle.policy())

@@ -28,6 +28,28 @@ def test_malformed_line_cites_line_number(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("bad_line", [1, 3, 200])
+def test_line_that_is_not_utf8_cites_line_number(tmp_path, bad_line):
+    # 200 lines span several of the text reader's 8 KiB chunks.
+    sessions = export_sessions(default_market_spec(), 200, seed=0)
+    lines = [json.dumps(session_to_dict(s)).encode() for s in sessions]
+    lines[bad_line - 1] = lines[bad_line - 1].replace(b'"s', b'"\xff\xfes', 1)
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with pytest.raises(ParseError) as err:
+        read_sessions(path)
+    assert (err.value.line, err.value.reason) == (bad_line, "not UTF-8")
+
+
+def test_utf8_text_still_reads(tmp_path):
+    session = export_sessions(default_market_spec(), 1, seed=0)[0]
+    doc = session_to_dict(session)
+    doc["session_id"] = "s-caf\u00e9-\u2603"
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(doc, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert read_sessions(path)[0].session_id == "s-caf\u00e9-\u2603"
+
+
 def test_round_trip_thousand_sessions(tmp_path):
     sessions = export_sessions(default_market_spec(), 1000, seed=11)
     path = tmp_path / "log.jsonl"

@@ -13,6 +13,7 @@ from ancillary_pricing.policies import RandomDiscountParams, StaticPricePolicy
 from ancillary_pricing.session_io import session_to_dict
 from ancillary_pricing.simulator import (
     BOOKING_CLASSES,
+    MAX_LOG_WTP,
     CLASS_PROBS,
     EPOCH_2025,
     AbConfig,
@@ -21,12 +22,14 @@ from ancillary_pricing.simulator import (
     SimSession,
     SubMarket,
     calibrate,
+    check_draws,
     choice_table,
     default_market_spec,
     export_sessions,
     gen_session,
     market_spec_from_doc,
     market_spec_to_doc,
+    max_log_wtp,
     run_abtest,
     session_stream,
     simulate_decision,
@@ -445,3 +448,22 @@ class TestSpecSerialization:
         moved = replace(spec, sub_markets=subs)
         assert moved._sub_market_table == choice_table([0.5, 0.0, 0.5])
         assert spec._sub_market_table == choice_table([0.075, 0.25, 0.675])
+
+
+def test_check_draws_admits_markets_right_up_to_the_overflow():
+    # Steep slopes and noise, so the drawn terms are far from the bound's share.
+    spec = default_market_spec()
+    sm = replace(spec.sub_markets[0], wtp_log_std=3.0, pcs_slope=2.0, popularity_slope=1.5,
+                 dtd_slope=-4.0, group_slope=0.5, los_bonus=1.0)
+    edge = sm.wtp_log_mean + MAX_LOG_WTP - max_log_wtp(spec, sm)
+
+    def with_mean(mean: float) -> MarketSpec:
+        return replace(spec, sub_markets=(replace(sm, wtp_log_mean=mean),
+                                          *spec.sub_markets[1:]))
+
+    at_edge = check_draws(with_mean(edge - 1e-9))
+    wtps = [gen_session(at_edge, session_stream(0, i)).wtp for i in range(500)]
+    assert all(math.isfinite(w) for w in wtps)
+    for mean in (edge + 1e-9, float("nan")):
+        with pytest.raises(ValueError, match="log-WTP"):
+            check_draws(with_mean(mean))
