@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .codec import from_doc, to_doc
-from .core import EncodingSchema, PriceGrid
+from .core import EncodingSchema, PriceGrid, require_positive
 from .errors import ChecksumMismatch, ConfigError, UnsupportedVersion
 from .gnb import GnbcModel, GnbModel
 from .mlp import MlpDemandModel
@@ -52,8 +51,11 @@ class PricingBundle:
             raise ConfigError(f"unknown model type {self.model_type!r}")
         if self.model_type in ("gnb", "gnbc") and self.logistic is None:
             raise ConfigError(f"{self.model_type} bundles need logistic map parameters")
-        if self.p_ref is not None and not (math.isfinite(self.p_ref) and self.p_ref > 0):
-            raise ConfigError(f"p_ref must be positive and finite, got {self.p_ref}")
+        if self.p_ref is not None:
+            require_positive("p_ref", self.p_ref, ConfigError)
+        if self.model.n_features != self.schema.dim:
+            raise ConfigError(f"the schema encodes {self.schema.dim} features, but the "
+                              f"{self.model_type} model takes {self.model.n_features}")
 
     def policy(self, name: str | None = None, kind: str | None = None) -> PricingPolicy:
         """The serving policy ``kind`` (``app_lm``, ``app_des`` or ``dnn_cl``)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
@@ -20,7 +19,7 @@ import numpy as np
 
 from .checkpoint import PricingBundle, load_checkpoint, save_checkpoint
 from .codec import from_doc, to_doc
-from .core import PriceGrid, encode_dataset, fit_schema
+from .core import PriceGrid, encode_dataset, fit_schema, require_positive
 from .errors import ConfigError, PricingError
 from .gnb import fit_gnb, fit_gnbc
 from .metrics import build_report
@@ -227,12 +226,7 @@ def _cmd_simulate(args) -> int:
     noise = None
     try:
         if "price_noise" in cfg:
-            pn = _object_from_cfg(cfg, "price_noise")
-            noise = RandomDiscountParams(
-                mean_discount=pn.get("mean_discount", 10.0),
-                std_discount=pn.get("std_discount", 6.0),
-                static_price=spec.static_price,
-            )
+            noise = _discount_params(_object_from_cfg(cfg, "price_noise"), spec.static_price)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad simulate config: {exc}")
     sessions = export_sessions(spec, n=n, seed=args.seed,
@@ -240,6 +234,23 @@ def _cmd_simulate(args) -> int:
     write_sessions(sessions, args.out)
     log.info("wrote %d sessions to %s", len(sessions), args.out)
     return 0
+
+
+def _discount_params(doc: dict, static_price: float) -> RandomDiscountParams:
+    """A config object's random discount: by default a mean of 10, a spread of 6."""
+    return RandomDiscountParams(mean_discount=doc.get("mean_discount", 10.0),
+                                std_discount=doc.get("std_discount", 6.0),
+                                static_price=static_price)
+
+
+def _read_labeled(path: str, what: str) -> list:
+    """The sessions of a log that ``what`` needs non-empty and labeled."""
+    sessions = read_sessions(path)
+    if not sessions:
+        raise ConfigError(f"{what} data is empty")
+    if any(s.purchased is None for s in sessions):
+        raise ConfigError(f"{what} data must be labeled")
+    return sessions
 
 
 def _default_grid_from_data(sessions) -> PriceGrid:
@@ -258,19 +269,15 @@ def _cmd_train(args) -> int:
             check_multipliers(args.c1, args.c2)
         if args.model == "gnbc" and args.k < 1:
             raise ValueError(f"--k must be at least 1, got {args.k}")
-        if args.p_ref is not None and not (math.isfinite(args.p_ref) and args.p_ref > 0):
-            raise ValueError(f"--p-ref must be positive and finite, got {args.p_ref}")
+        if args.p_ref is not None:
+            require_positive("--p-ref", args.p_ref)
         if args.model in ("app-dnn", "dnn-cl") and (args.logistic is not None
                                                      or args.p_ref is not None):
             raise ValueError(f"--logistic and --p-ref apply to gnb and gnbc only, "
                              f"not {args.model}")
     except ValueError as exc:
         raise ConfigError(f"bad train settings: {exc}")
-    sessions = read_sessions(args.data)
-    if not sessions:
-        raise ConfigError("training data is empty")
-    if any(s.purchased is None for s in sessions):
-        raise ConfigError("training data must be labeled")
+    sessions = _read_labeled(args.data, "training")
     grid = args.grid if args.grid is not None else _default_grid_from_data(sessions)
     schema = fit_schema(sessions)
     dataset = encode_dataset(sessions, schema, grid)
@@ -302,11 +309,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     bundle = load_checkpoint(args.ckpt)
-    sessions = read_sessions(args.data)
-    if not sessions:
-        raise ConfigError("evaluation data is empty")
-    if any(s.purchased is None for s in sessions):
-        raise ConfigError("evaluation data must be labeled")
+    sessions = _read_labeled(args.data, "evaluation")
     policy = bundle.policy()
     report = build_report({policy.name: policy}, sessions, seed=0,
                           dataset_id=Path(args.data).name)
@@ -341,9 +344,7 @@ def _arm_from_doc(doc: dict, grid: PriceGrid, static_price: float,
         policy = StaticPricePolicy(price=doc.get("price", static_price), grid=grid,
                                    name=name)
     elif kind == "random_discount":
-        params = RandomDiscountParams(mean_discount=doc.get("mean_discount", 10.0),
-                                      std_discount=doc.get("std_discount", 6.0),
-                                      static_price=doc.get("price", static_price))
+        params = _discount_params(doc, doc.get("price", static_price))
         policy = RandomDiscountPolicy(params=params, grid=grid, name=name)
     elif kind in ("app_lm", "app_des", "dnn_cl"):
         policy = bundle_at("checkpoint").policy(name=name, kind=kind)

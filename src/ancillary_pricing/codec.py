@@ -16,6 +16,8 @@ from functools import cache
 
 import numpy as np
 
+from .core import is_number
+
 
 def to_doc(obj):
     """``obj`` as JSON-ready data: a dataclass becomes an object keyed by
@@ -85,4 +87,6 @@ def _decode(hint, value):
         if not isinstance(value, dict):
             raise TypeError(f"expected an object, got {type(value).__name__}")
         return {k: _decode(args[1], v) for k, v in value.items()}
+    if hint is float and not is_number(value):
+        raise TypeError(f"expected a number, got {value!r}")
     return value

@@ -1,4 +1,4 @@
-"""Domain types, feature encoding, and price-grid arithmetic.
+"""Domain types, shared input checks, feature encoding, and price-grid arithmetic.
 
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions.
@@ -7,7 +7,7 @@ threads; the operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -28,6 +28,35 @@ BASE_NUMERIC = (
     "price_comparison_score",
 )
 BASE_CATEGORICAL = ("market", "booking_class")
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a number a float holds finitely: not a bool, NaN,
+    an infinity or an int too large for a float."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def require_positive(name: str, value, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a positive, finite number."""
+    if not (is_finite_number(value) and value > 0):
+        raise error(f"{name} must be positive and finite, got {value}")
+
+
+def check_finite_fields(obj, names: Sequence[str] = ()) -> None:
+    """Refuse a dataclass whose named fields (all of them by default) are
+    not all finite numbers."""
+    for name in names or [f.name for f in fields(obj)]:
+        value = getattr(obj, name)
+        if not is_finite_number(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 class PolicyTag(str, Enum):
@@ -61,8 +90,7 @@ class SessionRecord:
     extra_features: Mapping[str, float | str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.price_offered) and self.price_offered > 0):
-            raise ValueError(f"price_offered must be positive and finite, got {self.price_offered}")
+        require_positive("price_offered", self.price_offered)
         if self.days_to_departure < 0:
             raise ValueError("days_to_departure must be non-negative")
         if self.length_of_stay < 0:
@@ -243,10 +271,6 @@ def _feature_getter(name: str) -> Callable[[SessionRecord], object]:
     return lambda session: session.extra_features.get(name)
 
 
-def _is_numeric(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def fit_schema(sessions: Sequence[SessionRecord]) -> EncodingSchema:
     """Fit an encoding layout from raw sessions.
 
@@ -265,7 +289,7 @@ def fit_schema(sessions: Sequence[SessionRecord]) -> EncodingSchema:
                     if s.extra_features.get(name) is not None]
         if not observed:
             continue
-        if all(_is_numeric(v) for v in observed):
+        if all(is_number(v) for v in observed):
             kinds[name] = "numeric"
         elif all(isinstance(v, str) for v in observed):
             kinds[name] = "categorical"
@@ -332,7 +356,7 @@ def encode_matrix(sessions: Sequence[SessionRecord], schema: EncodingSchema) -> 
                     raise SchemaMismatch(f"required feature {name!r} missing from session "
                                          f"{session.session_id!r}")
                 row += (0.0, 1.0)
-            elif not _is_numeric(v):
+            elif not is_number(v):
                 raise SchemaMismatch(f"feature {name!r} expected numeric, got {type(v).__name__}")
             elif optional:
                 row += ((float(v) - mean) / std, 0.0)

@@ -11,7 +11,7 @@ The report also scores each block of sessions through ``score_batch``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Protocol, Sequence, TypeVar
 
 import numpy as np
@@ -23,8 +23,10 @@ from .core import (
     PriceGrid,
     Quote,
     SessionRecord,
+    check_finite_fields,
     encode,  # unused here; perfbench/layers.py wraps it by name in this module
     encode_matrix,
+    require_positive,
     snap_to_grid,
 )
 from .errors import NonFiniteInput
@@ -47,30 +49,13 @@ class LogisticMapParams:
     midpoint: float
 
     def __post_init__(self):
-        _check_finite_fields(self)
+        check_finite_fields(self)
         if self.max_price <= 0:
             raise ValueError("max_price must be positive")
         if self.shape <= 0:
             raise ValueError("shape must be positive")
         if not 0.0 < self.midpoint < 1.0:
             raise ValueError("midpoint must lie in (0, 1)")
-
-
-def _is_finite_number(v) -> bool:
-    """Whether ``v`` is a number a float holds finitely: not a bool, NaN,
-    an infinity or an int too large for a float."""
-    try:
-        return not isinstance(v, bool) and math.isfinite(v)
-    except (TypeError, OverflowError):
-        return False
-
-
-def _check_finite_fields(params) -> None:
-    """Refuse a parameter dataclass with a field that is not a finite number."""
-    for f in fields(params):
-        v = getattr(params, f.name)
-        if not _is_finite_number(v):
-            raise ValueError(f"{f.name} must be a finite number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -82,11 +67,10 @@ class RandomDiscountParams:
     static_price: float
 
     def __post_init__(self):
-        _check_finite_fields(self)
+        check_finite_fields(self)
         if self.std_discount < 0:
             raise ValueError("std_discount must be non-negative")
-        if self.static_price <= 0:
-            raise ValueError("static_price must be positive")
+        require_positive("static_price", self.static_price)
 
 
 def logistic_map(prob: float, params: LogisticMapParams, grid: PriceGrid) -> float:
@@ -122,22 +106,10 @@ def _des_quotes(probs: np.ndarray, grid: PriceGrid, model_version: str) -> list[
             for i, row in zip(best.tolist(), probs.tolist())]
 
 
-def _app_lm_quote(prob: float, params: LogisticMapParams, grid: PriceGrid,
-                  model_version: str) -> Quote:
-    """The logistic-map quote from one session's probability at the reference price."""
-    return Quote(
-        recommended_price=logistic_map(prob, params, grid),
-        policy_tag=PolicyTag.APP_LM,
-        purchase_prob_estimate=prob,
-        model_version=model_version,
-    )
-
-
 def epsilon_greedy(eps: float, u: float, explore: T, exploit: T) -> T:
     """The exploration branch (a price or a quote) when the uniform draw u
-    falls below eps, else the exploitation branch."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    falls below eps, else the exploitation branch. ``eps`` is not checked
+    here: ``EpsilonGreedyPolicy`` refuses one outside [0, 1] once."""
     return explore if u < eps else exploit
 
 
@@ -180,6 +152,11 @@ class PricingPolicy(Protocol):
         ...
 
 
+def _check_in_grid(price: float, grid: PriceGrid) -> None:
+    if not grid.p_min <= price <= grid.p_max:
+        raise ValueError(f"static price {price} outside grid range [{grid.p_min}, {grid.p_max}]")
+
+
 @dataclass(frozen=True)
 class StaticPricePolicy:
     price: float
@@ -187,9 +164,7 @@ class StaticPricePolicy:
     name: str = "HUMAN"
 
     def __post_init__(self):
-        if not self.grid.p_min <= self.price <= self.grid.p_max:
-            raise ValueError(f"static price {self.price} outside grid range "
-                             f"[{self.grid.p_min}, {self.grid.p_max}]")
+        _check_in_grid(self.price, self.grid)
 
     def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
         return static_price(self.price)
@@ -208,9 +183,7 @@ class RandomDiscountPolicy:
     name: str = "RANDOM"
 
     def __post_init__(self):
-        if not self.grid.p_min <= self.params.static_price <= self.grid.p_max:
-            raise ValueError(f"static price {self.params.static_price} outside grid "
-                             f"range [{self.grid.p_min}, {self.grid.p_max}]")
+        _check_in_grid(self.params.static_price, self.grid)
 
     def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
         price = random_discount(self.params, float(rng.standard_normal()), self.grid)
@@ -276,14 +249,15 @@ class AppLmPolicy:
     model_version: str = "dev"
 
     def __post_init__(self):
-        if not (math.isfinite(self.p_ref) and self.p_ref > 0):
-            raise ValueError(f"p_ref must be positive and finite, got {self.p_ref}")
+        require_positive("p_ref", self.p_ref)
 
     quote = _quote_one
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
         probs = _probs_at(self.model, self.schema, sessions, np.full(len(sessions), self.p_ref))
-        return [_app_lm_quote(prob, self.logistic, self.grid, self.model_version)
+        return [Quote(recommended_price=logistic_map(prob, self.logistic, self.grid),
+                      policy_tag=PolicyTag.APP_LM, purchase_prob_estimate=prob,
+                      model_version=self.model_version)
                 for prob in probs.tolist()]
 
     score_batch = _score_offered

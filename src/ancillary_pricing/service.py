@@ -121,10 +121,10 @@ class _Handler(BaseHTTPRequestHandler):
         except _RefusedHeaders as err:
             self.send_error(*err.args)
             return False
-        connection = self.headers.get("connection", "").lower()
+        connection = self.headers.get("connection", "").rstrip(" \t").lower()  # RFC 9110 5.5
         if connection in ("close", "keep-alive"):
             self.close_connection = connection == "close"
-        if (self.headers.get("expect", "").lower() == "100-continue"
+        if (self.headers.get("expect", "").rstrip(" \t").lower() == "100-continue"
                 and self.request_version >= "HTTP/1.1"):
             return self.handle_expect_100()
         return True
@@ -178,19 +178,13 @@ class _Handler(BaseHTTPRequestHandler):
     def send_error(self, code, message=None, explain=None):
         """Errors the stdlib detects itself (an unsupported method, a
         malformed request line, an over-long line or header) as JSON in one
-        write through ``_reply``, closing the connection as the stdlib does.
-
-        HTTP/0.9 still gets a bare body, and a code that carries no body
-        (1xx, 204, 205, 304) still gets none.
+        write through ``_reply``, closing the connection as the stdlib does;
+        HTTP/0.9 still gets a bare body. Every such code (400, 414, 431, 501,
+        505) carries a body.
         """
         short = self.responses.get(code, ("???",))[0]
         message = short if message is None else message
         self.log_error("code %d, message %s", code, message)
-        if code < 200 or code in (204, 205, 304):
-            self.send_response(code, message)
-            self.send_header("Connection", "close")
-            self.end_headers()
-            return
         self._reply(code, {"error": message}, close=True)
 
     def do_GET(self):
@@ -217,7 +211,7 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 session = session_from_dict(obj, line=1)
             except ParseError as exc:
-                self._reply(422, {"error": exc.reason if hasattr(exc, "reason") else str(exc)})
+                self._reply(422, {"error": exc.reason})
                 return
             policy: PricingPolicy = self.server.service.policy
             try:

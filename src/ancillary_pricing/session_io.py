@@ -8,11 +8,10 @@ requests. Parsing is strict and every error carries its line number.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .core import SessionRecord
+from .core import SessionRecord, is_finite_number, is_number
 from .errors import MissingRequiredField, ParseError
 
 REQUIRED_FIELDS = (
@@ -27,13 +26,6 @@ REQUIRED_FIELDS = (
     "price_comparison_score",
     "price_offered",
 )
-
-
-def _is_finite(v: int | float) -> bool:
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def session_from_dict(obj: dict, line: int = 0) -> SessionRecord:
@@ -52,15 +44,15 @@ def session_from_dict(obj: dict, line: int = 0) -> SessionRecord:
         v = obj[name]
         if isinstance(v, bool) or not isinstance(v, int):
             raise ParseError(line, f"field {name!r} must be an integer, got {v!r}")
-        if not _is_finite(v):
+        if not is_finite_number(v):
             raise ParseError(line, f"field {name!r} must be finite, got {v!r}")
         return v
 
     def as_float(name: str) -> float:
         v = obj[name]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not is_number(v):
             raise ParseError(line, f"field {name!r} must be a number, got {v!r}")
-        if not _is_finite(v):
+        if not is_finite_number(v):
             raise ParseError(line, f"field {name!r} must be finite, got {v!r}")
         return float(v)
 
@@ -79,7 +71,7 @@ def session_from_dict(obj: dict, line: int = 0) -> SessionRecord:
     for k, v in extra.items():
         if v is not None and not isinstance(v, (int, float, str)):
             raise ParseError(line, f"extra feature {k!r} must be a number or string")
-        if isinstance(v, (int, float)) and not _is_finite(v):
+        if is_number(v) and not is_finite_number(v):
             raise ParseError(line, f"extra feature {k!r} must be finite, got {v!r}")
 
     try:

@@ -24,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from .codec import from_doc, to_doc
-from .core import PriceGrid, SessionRecord
+from .core import PriceGrid, SessionRecord, check_finite_fields, is_finite_number, require_positive
 from .errors import CalibrationDiverged
 from .metrics import MetricReport, OfferOutcome, arm_rows_from_outcomes
 from .policies import (
@@ -99,14 +99,14 @@ class MarketSpec:
         if not self.sub_markets:
             raise ValueError("need at least one sub-market")
         weights = [sm.weight for sm in self.sub_markets]
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
+        if not all(is_finite_number(w) and w >= 0 for w in weights):
             raise ValueError(f"sub-market weights must be finite and non-negative, "
                              f"got {weights}")
         total = sum(weights)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"sub-market weights must sum to 1, got {total}")
-        if self.static_price <= 0:
-            raise ValueError("static_price must be positive")
+        require_positive("static_price", self.static_price)
+        check_finite_fields(self, ("target_base_conversion",))
         for name in ("dtd_max", "los_max"):  # gen_session draws below dtd_max + 1 in int64
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value < 2**63:
@@ -114,8 +114,8 @@ class MarketSpec:
         if not 0.0 <= self.one_way_share <= 1.0:
             raise ValueError(f"one_way_share must lie in [0, 1], got {self.one_way_share}")
         bumps = list(self.booking_class_bumps.values())
-        if not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bumps):
-            raise ValueError(f"booking_class_bumps must map to numbers, got {bumps!r}")
+        if not all(map(is_finite_number, bumps)):
+            raise ValueError(f"booking_class_bumps must map to finite numbers, got {bumps!r}")
         object.__setattr__(self, "_sub_market_table", choice_table(weights))
 
 

@@ -702,3 +702,51 @@ def test_largest_int64_draw_bounds_still_simulate(tmp_path):
                                                           los_max=2 ** 63 - 1)}))
     assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.jsonl")]) == 0
     assert len(read_sessions(tmp_path / "o.jsonl")) == 5
+
+
+# Every number of a market document: (path into the "market" object).
+_MARKET_NUMBERS = [
+    ("static_price",), ("target_base_conversion",), ("dtd_max",), ("los_max",),
+    ("one_way_share",), ("booking_class_bumps", "flex"),
+    *[("sub_markets", 0, name) for name in (
+        "weight", "wtp_log_mean", "wtp_log_std", "dtd_slope", "los_bonus", "group_slope",
+        "pcs_slope", "popularity", "popularity_slope")],
+    ("sub_markets", 0, "los_window", 0), ("sub_markets", 0, "los_window", 1),
+]
+
+
+@pytest.mark.parametrize("raw", ["NaN", "1e309", '"x"', "true"],
+                         ids=["nan", "1e309", "string", "bool"])
+@pytest.mark.parametrize("path", _MARKET_NUMBERS,
+                         ids=[".".join(map(str, p)) for p in _MARKET_NUMBERS])
+def test_market_number_that_is_no_finite_number_is_data_error(tmp_path, capsys, path, raw):
+    market = market_spec_to_doc(default_market_spec())
+    parent = market
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "<raw>"  # replaced by the JSON text ``raw`` below
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_sessions": 5, "market": market}).replace('"<raw>"', raw))
+    assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_checkpoint_whose_schema_and_model_disagree_is_data_error(workdir, tmp_path,
+                                                                  monkeypatch, capsys):
+    from ancillary_pricing.service import PricingService
+
+    doc = json.loads((workdir / "gnb.ckpt.json").read_text())
+    del doc["checksum"]
+    doc["schema"]["numeric"].pop()  # the model still reads the feature
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+    ckpt = tmp_path / "mismatch.ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    # A checkpoint that loads would be served: return instead of serving forever.
+    monkeypatch.setattr(PricingService, "serve_forever", lambda self: self._server.server_close())
+    session = json.dumps(session_to_dict(export_sessions(default_market_spec(), 1, seed=42)[0]))
+    assert cli(["recommend", "--ckpt", str(ckpt), "--session", session]) == 2
+    assert cli(["serve", "--ckpt", str(ckpt), "--addr", "127.0.0.1:0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") and "schema" in line for line in err)

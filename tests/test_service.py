@@ -495,3 +495,16 @@ def test_each_request_draws_a_fresh_seed_0_stream(service):
     finally:
         conn.close()
         svc.swap_policy(bundle.policy())
+
+
+@pytest.mark.parametrize("blank", [b" ", b"\t"], ids=["space", "tab"])
+def test_connection_close_with_trailing_blank_closes(service, blank):
+    # RFC 9110 section 5.5: blanks around a field value are not part of it.
+    svc, _ = service
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close" + blank
+                     + b"\r\n\r\n")
+        sock.settimeout(5)
+        reply = sock.makefile("rb").read()  # until the server closes
+    assert reply.startswith(b"HTTP/1.1 200 ")
+    assert reply.endswith(b'{"status": "ok"}')
