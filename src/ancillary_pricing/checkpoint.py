@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codec import from_doc, to_doc
+from .codec import decode, from_doc, to_doc
 from .core import EncodingSchema, PriceGrid, require_positive
 from .errors import ChecksumMismatch, ConfigError, UnsupportedVersion
 from .gnb import GnbcModel, GnbModel
@@ -91,7 +91,7 @@ def save_checkpoint(bundle: PricingBundle, path: str | Path) -> str:
         "format_version": FORMAT_VERSION,
         "model_type": bundle.model_type,
         "schema": to_doc(bundle.schema),
-        "grid": [float(p) for p in bundle.grid.prices],
+        "grid": list(bundle.grid.prices),
         "hyperparameters": hyper,
         "params": params,
     }
@@ -129,19 +129,16 @@ def load_checkpoint(path: str | Path) -> PricingBundle:
     try:
         model_type = doc["model_type"]
         model_cls = MODEL_CLASSES[model_type]
-        grid = PriceGrid(tuple(doc["grid"]))
-        hyper = doc.get("hyperparameters", {})
-        if not isinstance(hyper, dict):
-            raise TypeError(f"hyperparameters must be an object, got {type(hyper).__name__}")
-        logistic = hyper.get("logistic")
+        grid = PriceGrid(decode(tuple[float, ...], doc["grid"]))
+        hyper = decode(dict, doc.get("hyperparameters", {}))
         given = {"grid": grid} if model_cls is DnnClModel else {}
         return PricingBundle(
             model_type=model_type,
             schema=from_doc(EncodingSchema, doc["schema"]),
             grid=grid,
             model=from_doc(model_cls, doc["params"], **given),
-            logistic=None if logistic is None else from_doc(LogisticMapParams, logistic),
-            p_ref=hyper.get("p_ref"),
+            logistic=decode(LogisticMapParams | None, hyper.get("logistic")),
+            p_ref=decode(float | None, hyper.get("p_ref")),
             version=f"{model_type}:{actual[:12]}",
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import PricingBundle, load_checkpoint, save_checkpoint
-from .codec import from_doc, to_doc
-from .core import PriceGrid, encode_dataset, fit_schema, require_positive
+from .codec import decode, to_doc
+from .core import PriceGrid, encode_dataset, fit_schema, is_integer, require_positive
 from .errors import ConfigError, PricingError
 from .gnb import fit_gnb, fit_gnbc
 from .metrics import build_report
@@ -167,33 +167,36 @@ def _market_from_cfg(cfg: dict):
         raise ConfigError(f"bad market spec: {exc}")
 
 
+_REQUIRED = object()
+
+
+def _cfg(doc: dict, key: str, hint=float, default=_REQUIRED, minimum: int | None = None):
+    """``doc[key]`` read as ``hint`` by the codec's rule, or ``default``
+    when the key is absent; an ``int`` must be a JSON integer of at least
+    ``minimum``. A missing required key or a value the rule or the hint's
+    class refuses is a ConfigError that names the key."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ConfigError(f"config needs {key!r}")
+        return default
+    value = doc[key]
+    try:
+        if hint is not int:
+            return decode(hint, value)
+        if not is_integer(value):
+            raise TypeError(f"must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+        return value
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from None
+
+
 def _grid_from_cfg(cfg: dict) -> PriceGrid:
-    if "grid" in cfg:
-        try:
-            return PriceGrid(tuple(float(p) for p in cfg["grid"]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad grid: {exc}")
-    return DEFAULT_GRID
-
-
-def _int_from_cfg(cfg: dict, key: str, default: int | None = None,
-                  minimum: int | None = None) -> int:
-    """``cfg[key]`` (or ``default``), refused unless a JSON integer of at
-    least ``minimum``."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"bad {key}: must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"bad {key}: must be at least {minimum}, got {value}")
-    return value
-
-
-def _object_from_cfg(cfg: dict, key: str) -> dict:
-    """``cfg[key]``, refused unless a JSON object."""
-    value = cfg[key]
-    if not isinstance(value, dict):
-        raise ConfigError(f"bad {key}: must be an object, got {value!r}")
-    return value
+    try:
+        return PriceGrid(_cfg(cfg, "grid", tuple[float, ...], DEFAULT_GRID.prices))
+    except ValueError as exc:
+        raise ConfigError(f"bad grid: {exc}")
 
 
 def _check_seed(seed: int) -> None:
@@ -204,13 +207,13 @@ def _check_seed(seed: int) -> None:
 def _spec_from_cfg(cfg: dict, seed: int):
     """The config's market, calibrated when the config asks for it."""
     spec = _market_from_cfg(cfg)
-    if "calibrate" in cfg:
-        cal = _object_from_cfg(cfg, "calibrate")
-        n = _int_from_cfg(cal, "sample_size", 100_000, minimum=1)
+    cal = _cfg(cfg, "calibrate", dict, None)
+    if cal is not None:
+        n = _cfg(cal, "sample_size", int, 100_000, minimum=1)
+        target = _cfg(cal, "target_rate", default=spec.target_base_conversion)
         try:
-            spec = check_draws(calibrate(
-                spec, cal.get("target_rate", spec.target_base_conversion), n=n, seed=seed))
-        except (TypeError, ValueError) as exc:
+            spec = check_draws(calibrate(spec, target, n=n, seed=seed))
+        except ValueError as exc:
             raise ConfigError(f"bad calibrate config: {exc}")
     return spec
 
@@ -218,17 +221,11 @@ def _spec_from_cfg(cfg: dict, seed: int):
 def _cmd_simulate(args) -> int:
     _check_seed(args.seed)
     cfg = _load_json(args.config)
-    if "n_sessions" not in cfg:
-        raise ConfigError("simulate config needs 'n_sessions'")
-    n = _int_from_cfg(cfg, "n_sessions", minimum=1)
+    n = _cfg(cfg, "n_sessions", int, minimum=1)
     grid = _grid_from_cfg(cfg)
+    noise_doc = _cfg(cfg, "price_noise", dict, None)
     spec = _spec_from_cfg(cfg, args.seed)
-    noise = None
-    try:
-        if "price_noise" in cfg:
-            noise = _discount_params(_object_from_cfg(cfg, "price_noise"), spec.static_price)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad simulate config: {exc}")
+    noise = None if noise_doc is None else _discount_params(noise_doc, spec.static_price)
     sessions = export_sessions(spec, n=n, seed=args.seed,
                                price_noise=noise, grid=grid if noise else None)
     write_sessions(sessions, args.out)
@@ -238,9 +235,12 @@ def _cmd_simulate(args) -> int:
 
 def _discount_params(doc: dict, static_price: float) -> RandomDiscountParams:
     """A config object's random discount: by default a mean of 10, a spread of 6."""
-    return RandomDiscountParams(mean_discount=doc.get("mean_discount", 10.0),
-                                std_discount=doc.get("std_discount", 6.0),
-                                static_price=static_price)
+    try:
+        return RandomDiscountParams(mean_discount=_cfg(doc, "mean_discount", default=10.0),
+                                    std_discount=_cfg(doc, "std_discount", default=6.0),
+                                    static_price=static_price)
+    except ValueError as exc:
+        raise ConfigError(f"bad random discount: {exc}")
 
 
 def _read_labeled(path: str, what: str) -> list:
@@ -323,42 +323,31 @@ def _arm_from_doc(doc: dict, grid: PriceGrid, static_price: float,
     """One arm of an abtest config. ``bundles`` holds the checkpoints
     loaded so far, keyed by resolved path, so arms that share a file load
     and verify it once."""
-    try:
-        name = doc["name"]
-        kind = doc["policy"]
-        split = float(doc["split"])
-    except KeyError as exc:
-        raise ConfigError(f"arm is missing key {exc}")
-    if not isinstance(name, str):
-        raise ConfigError(f"bad arm name: must be a string, got {name!r}")
+    name, kind, split = _cfg(doc, "name", str), _cfg(doc, "policy", str), _cfg(doc, "split")
 
     def bundle_at(key: str) -> PricingBundle:
-        if key not in doc:
-            raise ConfigError(f"arm {name!r} needs a {key!r} path")
-        path = (base_dir / doc[key]).resolve()
+        path = (base_dir / _cfg(doc, key, str)).resolve()
         if path not in bundles:
             bundles[path] = load_checkpoint(path)
         return bundles[path]
 
     if kind == "human":
-        policy = StaticPricePolicy(price=doc.get("price", static_price), grid=grid,
+        policy = StaticPricePolicy(price=_cfg(doc, "price", default=static_price), grid=grid,
                                    name=name)
     elif kind == "random_discount":
-        params = _discount_params(doc, doc.get("price", static_price))
+        params = _discount_params(doc, _cfg(doc, "price", default=static_price))
         policy = RandomDiscountPolicy(params=params, grid=grid, name=name)
     elif kind in ("app_lm", "app_des", "dnn_cl"):
         policy = bundle_at("checkpoint").policy(name=name, kind=kind)
         if kind == "app_lm":  # the arm may override the checkpoint's price map
-            overrides = {}
-            if doc.get("logistic"):
-                overrides["logistic"] = from_doc(LogisticMapParams, doc["logistic"])
-            if "p_ref" in doc:
-                overrides["p_ref"] = float(doc["p_ref"])
-            policy = replace(policy, **overrides)
+            keep = doc.get("logistic") in (None, {})  # absent, null or {}: no override
+            logistic = policy.logistic if keep else _cfg(doc, "logistic", LogisticMapParams)
+            policy = replace(policy, logistic=logistic,
+                             p_ref=_cfg(doc, "p_ref", default=policy.p_ref))
     elif kind == "epsilon_greedy":
         explore = bundle_at("explore_checkpoint").policy(name=f"{name}-explore", kind="app_lm")
         exploit = bundle_at("exploit_checkpoint").policy(name=f"{name}-exploit", kind="app_des")
-        policy = EpsilonGreedyPolicy(eps=doc.get("epsilon", 0.3), explore=explore,
+        policy = EpsilonGreedyPolicy(eps=_cfg(doc, "epsilon", default=0.3), explore=explore,
                                      exploit=exploit, name=name)
     else:
         raise ConfigError(f"unknown policy kind {kind!r} for arm {name!r}")
@@ -369,26 +358,24 @@ def _cmd_abtest(args) -> int:
     cfg = _load_json(args.config)
     base_dir = Path(args.config).resolve().parent
     grid = _grid_from_cfg(cfg)
-    seed = args.seed if args.seed is not None else _int_from_cfg(cfg, "seed", 0)
+    seed = args.seed if args.seed is not None else _cfg(cfg, "seed", int, 0)
     _check_seed(seed)
     spec = _spec_from_cfg(cfg, seed)
-    if "arms" not in cfg or "days" not in cfg or "sessions_per_day" not in cfg:
-        raise ConfigError("abtest config needs 'arms', 'days', and 'sessions_per_day'")
+    static_price = _cfg(cfg, "static_price", default=spec.static_price)
     bundles: dict[Path, PricingBundle] = {}
     try:
-        static_price = float(cfg.get("static_price", spec.static_price))
         arms = tuple(_arm_from_doc(a, grid, static_price, base_dir, bundles)
-                     for a in cfg["arms"])
-    except (KeyError, TypeError, ValueError) as exc:  # e.g. a value a policy refuses
+                     for a in _cfg(cfg, "arms", tuple[dict, ...]))
+    except ValueError as exc:  # e.g. a value a policy refuses
         raise ConfigError(f"bad arm config: {exc}")
     try:
         config = AbConfig(
             arms=arms,
-            days=_int_from_cfg(cfg, "days"),
-            sessions_per_day=_int_from_cfg(cfg, "sessions_per_day"),
-            sessions_per_day_dist=cfg.get("sessions_per_day_distribution", "fixed"),
+            days=_cfg(cfg, "days", int),
+            sessions_per_day=_cfg(cfg, "sessions_per_day", int),
+            sessions_per_day_dist=_cfg(cfg, "sessions_per_day_distribution", str, "fixed"),
             seed=seed,
-            baseline_arm=cfg.get("baseline_arm", "HUMAN"),
+            baseline_arm=_cfg(cfg, "baseline_arm", str | None, "HUMAN"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -442,7 +429,7 @@ def cli(argv=None) -> int:
     logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
-    except (PricingError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (PricingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,13 +59,20 @@ def from_doc(cls, doc, **given):
         if f.name in given:
             continue
         if f.name in doc:
-            kwargs[f.name] = _decode(hints[f.name], doc[f.name])
+            kwargs[f.name] = decode(hints[f.name], doc[f.name])
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise KeyError(f"{cls.__name__}.{f.name}")
     return cls(**kwargs)
 
 
-def _decode(hint, value):
+# The plain kinds a value is checked against; an ``int`` is left to its class.
+_KINDS = {float: "a number", str: "a string", bool: "true or false", dict: "an object"}
+
+
+def decode(hint, value):
+    """``value`` read as ``hint``: a dataclass by ``from_doc``, an array from
+    ``{"shape", "data"}``, a list item by item. A value not of the hint's
+    kind (any JSON number for ``float``) raises ``TypeError``."""
     if dataclasses.is_dataclass(hint):
         return from_doc(hint, value)
     if hint is np.ndarray:
@@ -74,19 +81,17 @@ def _decode(hint, value):
     if origin in (typing.Union, types.UnionType):  # X | None
         if value is None:
             return None
-        return _decode(next(a for a in args if a is not type(None)), value)
+        return decode(next(a for a in args if a is not type(None)), value)
     if origin in (tuple, list):
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {type(value).__name__}")
         if origin is list or args[-1] is Ellipsis:
-            return origin(_decode(args[0], v) for v in value)
+            return origin(decode(args[0], v) for v in value)
         if len(value) != len(args):
             raise ValueError(f"expected {len(args)} items, got {len(value)}: {value!r}")
-        return tuple(_decode(a, v) for a, v in zip(args, value))
+        return tuple(decode(a, v) for a, v in zip(args, value))
     if origin is dict:
-        if not isinstance(value, dict):
-            raise TypeError(f"expected an object, got {type(value).__name__}")
-        return {k: _decode(args[1], v) for k, v in value.items()}
-    if hint is float and not is_number(value):
-        raise TypeError(f"expected a number, got {value!r}")
+        return {k: decode(args[1], v) for k, v in decode(dict, value).items()}
+    if hint in _KINDS and not (is_number(value) if hint is float else isinstance(value, hint)):
+        raise TypeError(f"expected {_KINDS[hint]}, got {value!r}")
     return value

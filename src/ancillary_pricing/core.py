@@ -35,6 +35,11 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a JSON integer: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_finite_number(value) -> bool:
     """Whether ``value`` is a number a float holds finitely: not a bool, NaN,
     an infinity or an int too large for a float."""
@@ -118,11 +123,12 @@ class PriceGrid:
     def __post_init__(self):
         if len(self.prices) < 2:
             raise ValueError("price grid needs at least 2 points")
-        if not all(math.isfinite(p) and p > 0 for p in self.prices):
-            raise ValueError(f"all grid prices must be positive and finite, got {self.prices}")
+        for p in self.prices:
+            require_positive("grid price", p)
         if any(b <= a for a, b in zip(self.prices, self.prices[1:])):
             raise ValueError("grid prices must be strictly ascending")
-        object.__setattr__(self, "_arr", np.asarray(self.prices, dtype=float))
+        object.__setattr__(self, "prices", tuple(map(float, self.prices)))  # logs write 30.0
+        object.__setattr__(self, "_arr", np.asarray(self.prices))
 
     @property
     def p_min(self) -> float:
@@ -206,8 +212,7 @@ class Quote:
     model_version: str = "dev"
 
     def __post_init__(self):
-        if self.recommended_price <= 0:
-            raise ValueError("recommended price must be positive")
+        require_positive("recommended_price", self.recommended_price)
         p = self.purchase_prob_estimate
         if p is not None and not 0.0 <= p <= 1.0:
             raise ValueError(f"purchase probability estimate out of [0,1]: {p}")

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .codec import to_doc
+from .core import require_positive
 from .errors import EmptyInput, NoPurchases, SingleClassInput, UndefinedMetric
 from .policies import QUOTE_BLOCK, quote_all
 from .streams import streams
@@ -31,8 +32,8 @@ class EvalRecord:
     score: float | None = None
 
     def __post_init__(self):
-        if self.offered_price <= 0 or self.recommended_price <= 0:
-            raise ValueError("prices must be positive")
+        require_positive("offered_price", self.offered_price)
+        require_positive("recommended_price", self.recommended_price)
         if self.purchased not in (0, 1):
             raise ValueError("purchased must be 0 or 1")
 

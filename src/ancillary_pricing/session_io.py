@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .core import SessionRecord, is_finite_number, is_number
+from .core import SessionRecord, is_finite_number, is_integer, is_number
 from .errors import MissingRequiredField, ParseError
 
 REQUIRED_FIELDS = (
@@ -42,7 +42,7 @@ def session_from_dict(obj: dict, line: int = 0) -> SessionRecord:
 
     def as_int(name: str) -> int:
         v = obj[name]
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not is_integer(v):
             raise ParseError(line, f"field {name!r} must be an integer, got {v!r}")
         if not is_finite_number(v):
             raise ParseError(line, f"field {name!r} must be finite, got {v!r}")

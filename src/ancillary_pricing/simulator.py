@@ -24,7 +24,8 @@ from itertools import islice
 import numpy as np
 
 from .codec import from_doc, to_doc
-from .core import PriceGrid, SessionRecord, check_finite_fields, is_finite_number, require_positive
+from .core import (PriceGrid, SessionRecord, check_finite_fields, is_finite_number, is_integer,
+                   require_positive)
 from .errors import CalibrationDiverged
 from .metrics import MetricReport, OfferOutcome, arm_rows_from_outcomes
 from .policies import (
@@ -109,7 +110,7 @@ class MarketSpec:
         check_finite_fields(self, ("target_base_conversion",))
         for name in ("dtd_max", "los_max"):  # gen_session draws below dtd_max + 1 in int64
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value < 2**63:
+            if not is_integer(value) or not 1 <= value < 2**63:
                 raise ValueError(f"{name} must be an integer in [1, 2**63), got {value!r}")
         if not 0.0 <= self.one_way_share <= 1.0:
             raise ValueError(f"one_way_share must lie in [0, 1], got {self.one_way_share}")
@@ -286,6 +287,8 @@ class AbConfig:
     def __post_init__(self):
         if len(self.arms) < 2:
             raise ValueError("an A/B test needs at least 2 arms")
+        if len({a.name for a in self.arms}) < len(self.arms):  # run_abtest tallies by name
+            raise ValueError(f"arm names must be distinct, got {[a.name for a in self.arms]}")
         if not all(0.0 <= a.split <= 1.0 for a in self.arms):  # NaN fails too
             raise ValueError(f"each traffic split must lie in [0, 1], got "
                              f"{[a.split for a in self.arms]}")
@@ -388,7 +391,7 @@ def market_spec_from_doc(doc: dict) -> MarketSpec:
     return from_doc(MarketSpec, doc)
 
 
-DEFAULT_GRID = PriceGrid(tuple(float(p) for p in range(30, 52, 2)))
+DEFAULT_GRID = PriceGrid(tuple(range(30, 52, 2)))
 
 
 def default_market_spec() -> MarketSpec:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ancillary_pricing.cli import cli
 from ancillary_pricing.session_io import read_sessions, session_to_dict
@@ -361,6 +365,11 @@ def _market(**fields) -> dict:
     ("abtest", {"arms": [{"name": "A", "policy": "human", "split": 1.5},
                          {"name": "B", "policy": "human", "split": -0.5}]}),
     ("abtest", _with_arm(policy="human", name=5)),  # names are strings
+    ("abtest", _with_arm(policy="human", name="A")),  # and distinct
+    ("abtest", {**_with_arm(policy="human"), "static_price": 10 ** 400}),  # no float holds it
+    ("abtest", {"arms": [{"name": "A", "policy": "human", "split": 10 ** 400},
+                         {"name": "B", "policy": "human", "split": 0}]}),
+    ("abtest", _with_arm(**_APP_LM, p_ref=10 ** 400)),
 ])
 def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, capsys,
                                                           command, doc):
@@ -375,6 +384,75 @@ def test_config_value_a_constructor_refuses_is_data_error(workdir, tmp_path, cap
     cfg_path.write_text(json.dumps(cfg))
     assert cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+_EPS = {"policy": "epsilon_greedy", "explore_checkpoint": "gnb.ckpt.json",
+        "exploit_checkpoint": "app-dnn.ckpt.json"}
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("simulate", {"grid": ["30", "40", "50"]}, "grid"),
+    ("abtest", {**_with_arm(policy="human"), "grid": ["30", "40", "50"]}, "grid"),
+    ("abtest", _with_arm(policy="human", split="0.5"), "split"),
+    ("abtest", {"arms": [{"name": "A", "policy": "human", "split": True},
+                         {"name": "B", "policy": "human", "split": 0}]}, "split"),
+    ("abtest", {**_with_arm(policy="human"), "static_price": "40"}, "static_price"),
+    ("abtest", _with_arm(**_APP_LM, p_ref="45"), "p_ref"),
+    ("abtest", _with_arm(**_APP_LM, p_ref=True), "p_ref"),
+    ("abtest", _with_arm(**_EPS, epsilon=True), "epsilon"),
+    ("abtest", _with_arm(**_APP_LM, logistic=[]), "logistic"),
+    ("abtest", {**_with_arm(policy="human"), "baseline_arm": []}, "baseline_arm"),
+    ("abtest", {**_with_arm(policy="human"), "baseline_arm": ["A"]}, "baseline_arm"),
+    ("abtest", {**_with_arm(policy="human"), "baseline_arm": {"A": 1}}, "baseline_arm"),
+    ("abtest", {**_with_arm(policy="human"), "arms": {"A": 1}}, "arms"),
+    ("abtest", _with_arm(policy=["human"]), "policy"),
+    ("abtest", _with_arm(policy="app_lm", checkpoint=5), "checkpoint"),
+    ("abtest", {**_with_arm(policy="human"), "days": None}, "days"),
+    ("simulate", {"price_noise": {"mean_discount": "10"}}, "mean_discount"),
+    ("simulate", {"calibrate": {"target_rate": True}}, "target_rate"),
+])
+def test_config_value_of_the_wrong_kind_is_data_error(workdir, capsys, command, doc, key):
+    """A number is a JSON number, an integer a JSON integer, a name, policy
+    or path a string: never a string for a number, nor ``true``. The error
+    names ``key``."""
+    base = SIM_CFG if command == "simulate" else {"days": 1, "sessions_per_day": 10}
+    cfg_path = workdir / "wrong_kind.json"  # the arms' checkpoint names resolve here
+    cfg_path.write_text(json.dumps({**base, **doc}))
+    assert cli([command, "--config", str(cfg_path), "--out", str(workdir / "wrong_kind.out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {key}:")
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("simulate", {}, "n_sessions"),
+    ("abtest", {"days": 1, "sessions_per_day": 10}, "arms"),
+    ("abtest", {"arms": [{"name": "A", "split": 1.0}]}, "policy"),
+    ("abtest", {"arms": [{"name": "A", "policy": "human", "split": 0.5},
+                         {"name": "B", "policy": "app_des", "split": 0.5}]}, "checkpoint"),
+])
+def test_missing_config_key_is_named(tmp_path, capsys, command, doc, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: config needs {key!r}\n"
+
+
+@pytest.mark.parametrize("command", ["recommend", "simulate", "abtest"])
+def test_path_the_os_refuses_is_data_error(workdir, tmp_path, capsys, command):
+    too_long = str(tmp_path / ("x" * 300))  # no file system takes a 300-byte name
+    cfg = tmp_path / "cfg.json"
+    if command == "recommend":
+        argv = ["--ckpt", too_long, "--session", "{}"]
+    elif command == "simulate":
+        cfg.write_text(json.dumps({"n_sessions": 5}))
+        argv = ["--config", str(cfg), "--out", too_long]
+    else:
+        cfg.write_text(json.dumps({"days": 1, "sessions_per_day": 10, **_with_arm(
+            policy="app_des", checkpoint=too_long)}))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert cli([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "File name too long" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "abtest"])
@@ -750,3 +828,74 @@ def test_checkpoint_whose_schema_and_model_disagree_is_data_error(workdir, tmp_p
     assert cli(["serve", "--ckpt", str(ckpt), "--addr", "127.0.0.1:0"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error:") and "schema" in line for line in err)
+
+
+# Values a config key may hold by mistake: any JSON value, weighted towards
+# bools, numeric strings, NaN, infinities, a number no float holds, a path no
+# file system takes, lists and objects.
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.floats()
+    | st.sampled_from([10 ** 400, "0.5", "40", "inf", "NaN", "", "HUMAN", "x" * 300])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=4)
+# A size asks for work in proportion to it: only small values, or ones of the wrong kind.
+_SIZE = st.integers(-1, 12) | st.sampled_from([2.5, 1e308, float("inf"), True, "3", None, [], {}])
+_CALIBRATE = st.fixed_dictionaries({}, optional={"target_rate": _ANY_JSON,
+                                                 "sample_size": st.integers(1, 300) | _SIZE})
+_MISSING = object()
+_TOP_VALUES = {
+    "seed": st.integers(0, 9) | _ANY_JSON, "grid": _ANY_JSON, "market": _ANY_JSON,
+    "n_sessions": _SIZE, "days": _SIZE, "sessions_per_day": _SIZE,
+    "price_noise": _ANY_JSON, "calibrate": _CALIBRATE | _ANY_JSON,
+    "static_price": _ANY_JSON, "sessions_per_day_distribution": _ANY_JSON,
+    "baseline_arm": _ANY_JSON, "arms": _ANY_JSON,
+}
+_ARM_KEYS = ("name", "policy", "split", "price", "mean_discount", "std_discount", "checkpoint",
+             "explore_checkpoint", "exploit_checkpoint", "logistic", "p_ref", "epsilon")
+
+
+def _fuzz_base() -> dict:
+    """A valid config of both commands: four abtest arms, one per kind of
+    arm setting."""
+    return {"n_sessions": 5, "grid": [30, 35, 40, 45, 50], "days": 1, "sessions_per_day": 8,
+            "arms": [
+                {"name": "HUMAN", "policy": "human", "split": 0.25, "price": 40},
+                {"name": "RANDOM", "policy": "random_discount", "split": 0.25,
+                 "mean_discount": 8.0, "std_discount": 4.0},
+                {"name": "APP-LM", "policy": "app_lm", "split": 0.25,
+                 "checkpoint": "gnbc.ckpt.json", "p_ref": 45.0,
+                 "logistic": {"max_price": 50.0, "shape": 12.0, "midpoint": 0.35}},
+                {"name": "EPS", "policy": "epsilon_greedy", "split": 0.25, "epsilon": 0.3,
+                 "explore_checkpoint": "gnb.ckpt.json",
+                 "exploit_checkpoint": "app-dnn.ckpt.json"}]}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["simulate", "abtest"]),
+       top=st.lists(st.sampled_from(sorted(_TOP_VALUES)), max_size=2, unique=True).flatmap(
+           lambda keys: st.fixed_dictionaries({k: st.just(_MISSING) | _TOP_VALUES[k]
+                                               for k in keys})),
+       arm=st.integers(0, 3),
+       arm_edits=st.dictionaries(st.sampled_from(_ARM_KEYS), st.just(_MISSING) | _ANY_JSON,
+                                 max_size=2))
+def test_any_config_value_is_run_or_refused(workdir, command, top, arm, arm_edits):
+    """Each key of a valid config, top-level or of an arm, takes any JSON
+    value or is left out: the command runs (0) or refuses the config with
+    an ``error:`` line (2), and never ends in a traceback."""
+    cfg = _fuzz_base()
+    for doc, edits in ((cfg["arms"][arm], arm_edits), (cfg, top)):
+        for key, value in edits.items():
+            if value is _MISSING:
+                doc.pop(key, None)
+            else:
+                doc[key] = value
+    cfg_path = workdir / "fuzz.json"  # the arms' checkpoint names resolve here
+    cfg_path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli([command, "--config", str(cfg_path), "--out", str(workdir / "fuzz.out")])
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().startswith("error:")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ancillary_pricing.codec import from_doc, to_doc
+from ancillary_pricing.codec import decode, from_doc, to_doc
 from ancillary_pricing.core import CategoricalFeature, EncodingSchema, NumericFeature
 from ancillary_pricing.simulator import MarketSpec, SubMarket
 
@@ -111,6 +111,8 @@ def test_key_that_is_no_field_is_refused_by_name():
     (lambda d: d.update(pair=[1.0, 2, 3]), ValueError),
     (lambda d: d.update(pair="1.0,2"), TypeError),
     (lambda d: d.update(rows=[]), TypeError),
+    (lambda d: d.update(note=5), TypeError),
+    (lambda d: d.update(rows={"a": ["1.5"]}), TypeError),
     (lambda d: d["arrays"].append({"shape": [2, 2], "data": [1.0]}), ValueError),
 ])
 def test_malformed_document_raises(edit, error):
@@ -118,3 +120,12 @@ def test_malformed_document_raises(edit, error):
     edit(doc)
     with pytest.raises(error):
         from_doc(_Sample, doc)
+
+
+@pytest.mark.parametrize("hint,value", [
+    (float, "1.5"), (float, True), (float, None), (str, 5), (str, ["a"]), (bool, 1),
+    (bool, "true"), (dict, []), (dict, None), (str | None, {}), (tuple[dict, ...], [1]),
+])
+def test_value_of_another_kind_is_refused(hint, value):
+    with pytest.raises(TypeError, match="expected"):
+        decode(hint, value)

@@ -210,6 +210,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             Quote(recommended_price=-1.0, policy_tag=PolicyTag.HUMAN)
 
+    @pytest.mark.parametrize("price", [float("nan"), float("inf")])
+    def test_quote_refuses_a_non_finite_price(self, price):
+        with pytest.raises(ValueError, match="finite"):
+            Quote(recommended_price=price, policy_tag=PolicyTag.HUMAN)
+
     def test_quote_to_dict_keeps_the_reply_key_order(self):
         q = Quote(recommended_price=30.0, policy_tag=PolicyTag.APP_LM,
                   purchase_prob_estimate=0.25, model_version="gnb:abc")

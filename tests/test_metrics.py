@@ -79,6 +79,14 @@ def _purchased(offered, recommended):
     return EvalRecord(offered_price=offered, recommended_price=recommended, purchased=1)
 
 
+@pytest.mark.parametrize("price", [float("nan"), float("inf")])
+def test_eval_record_refuses_a_non_finite_price(price):
+    with pytest.raises(ValueError, match="finite"):
+        EvalRecord(offered_price=price, recommended_price=10.0, purchased=0)
+    with pytest.raises(ValueError, match="finite"):
+        EvalRecord(offered_price=10.0, recommended_price=price, purchased=0)
+
+
 class TestRegretScore:
     def test_worked_example(self):
         records = [_purchased(10, 8), _purchased(15, 12), _purchased(10, 15),

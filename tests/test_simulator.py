@@ -390,6 +390,11 @@ class TestRunAbtest:
             AbConfig(arms=(_human_arm("A", 50.0, 0.6), _human_arm("B", 50.0, 0.6)),
                      days=1, sessions_per_day=10)
 
+    def test_arm_names_must_be_distinct(self):
+        with pytest.raises(ValueError, match="distinct"):  # they would share one tally
+            AbConfig(arms=(_human_arm("A", 50.0, 0.5), _human_arm("A", 40.0, 0.5)),
+                     days=1, sessions_per_day=10)
+
 
 class TestSpecSerialization:
     def test_round_trip(self):
