@@ -1,47 +1,43 @@
 #!/usr/bin/env python3
 """Desk-scale pricing study: offline model comparison plus a simulated A/B test.
 
-Calibrates the default synthetic market, generates discounted training
-traffic, fits all four demand/pricing models, scores them offline on
-held-out sessions, then runs every policy (plus the human and random
-baselines and an epsilon-greedy composition) through the multi-arm
-harness. Writes JSON artifacts under --out-dir and prints both tables.
+Drives the CLI end to end: simulates a discounted training log and a
+held-out evaluation log on the calibrated default market, trains all four
+demand/pricing models, evaluates each checkpoint, then runs every policy
+(plus the human and random baselines and an epsilon-greedy composition)
+through a six-arm abtest. Writes the config documents, checkpoints, reports
+and `abtest.json` under --out-dir and prints both tables.
 
 Usage:
     python scripts/run_desk_experiment.py --seed 7 --out-dir out/
 """
 
 import argparse
+import contextlib
+import io
 import json
+import sys
 import time
 from pathlib import Path
 
-from ancillary_pricing.codec import to_doc
-from ancillary_pricing.core import encode_dataset, fit_schema
-from ancillary_pricing.gnb import fit_gnb, fit_gnbc
-from ancillary_pricing.metrics import build_report
-from ancillary_pricing.mlp import MlpDemandModel, TrainConfig, train_app
-from ancillary_pricing.policies import (
-    AppDesPolicy,
-    AppLmPolicy,
-    DnnClPolicy,
-    EpsilonGreedyPolicy,
-    LogisticMapParams,
-    RandomDiscountParams,
-    RandomDiscountPolicy,
-    StaticPricePolicy,
-)
-from ancillary_pricing.pricing_net import train_dnncl
-from ancillary_pricing.session_io import write_sessions
-from ancillary_pricing.simulator import (
-    DEFAULT_GRID,
-    AbConfig,
-    ArmSpec,
-    calibrate,
-    default_market_spec,
-    export_sessions,
-    run_abtest,
-)
+from ancillary_pricing.cli import cli
+from ancillary_pricing.codec import from_doc
+from ancillary_pricing.metrics import MetricReport
+from ancillary_pricing.simulator import DEFAULT_GRID
+
+GRID = list(DEFAULT_GRID.prices)
+CALIBRATE = {"target_rate": 0.06, "sample_size": 50_000}
+MODELS = {"gnb": "APP-LM(GNB)", "gnbc": "APP-LM", "app-dnn": "APP-DES", "dnn-cl": "DNN-CL"}
+
+
+def run(step: str, argv: list[str]) -> str:
+    """One CLI command and its stdout; a non-zero exit ends the script, naming the step."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli(argv)
+    if code != 0:
+        print(f"step {step!r} failed with exit code {code}", file=sys.stderr)
+        sys.exit(code)
+    return out.getvalue()
 
 
 def main() -> None:
@@ -57,71 +53,55 @@ def main() -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
 
-    grid = DEFAULT_GRID
-    print(f"calibrating market to 6% conversion at {default_market_spec().static_price:.0f} ...")
-    spec = calibrate(default_market_spec(), target_rate=0.06, n=100_000, seed=args.seed)
+    def config(name: str, doc: dict) -> str:
+        path = args.out_dir / f"{name}.config.json"
+        path.write_text(json.dumps({"market": "default", "grid": GRID, "calibrate": CALIBRATE,
+                                    **doc}, indent=2) + "\n")
+        return str(path)
 
-    noise = RandomDiscountParams(mean_discount=10.0, std_discount=6.0,
-                                 static_price=spec.static_price)
-    train_sessions = export_sessions(spec, args.train_sessions, seed=args.seed + 1,
-                                     price_noise=noise, grid=grid)
-    eval_sessions = export_sessions(spec, args.eval_sessions, seed=args.seed + 2,
-                                    price_noise=noise, grid=grid)
-    write_sessions(train_sessions, args.out_dir / "train.jsonl")
-    write_sessions(eval_sessions, args.out_dir / "eval.jsonl")
+    for log, n, seed in (("train", args.train_sessions, args.seed + 1),
+                         ("eval", args.eval_sessions, args.seed + 2)):
+        print(f"simulating {n} {log} sessions on the market calibrated to 6% conversion ...")
+        cfg = config(log, {"n_sessions": n,
+                           "price_noise": {"mean_discount": 10.0, "std_discount": 6.0}})
+        run(f"simulate {log}", ["simulate", "--config", cfg, "--seed", str(seed),
+                                "--out", str(args.out_dir / f"{log}.jsonl")])
 
-    schema = fit_schema(train_sessions)
-    dataset = encode_dataset(train_sessions, schema, grid)
-    print(f"training on {dataset.n} sessions "
-          f"({dataset.labels.mean():.1%} purchased, {schema.dim} features) ...")
-
-    config = TrainConfig(learning_rate=0.1, decay=1e-3, batch_size=128,
-                         epochs=args.epochs, dropout_rate=0.05, seed=args.seed)
-    gnb = fit_gnb(dataset)
-    gnbc = fit_gnbc(dataset, k=8, seed=args.seed)
-    app_dnn = MlpDemandModel(
-        mlp=train_app(dataset, hidden=(64, 32), config=config).model, p_max=grid.p_max)
-    dnn_cl = train_dnncl(dataset, grid, hidden=(64, 32), config=config,
-                         c1=0.8, c2=1.2).model
-
-    logistic = LogisticMapParams(max_price=grid.p_max, shape=12.0, midpoint=0.35)
-    app_lm = AppLmPolicy(model=gnbc, schema=schema, grid=grid, logistic=logistic,
-                         p_ref=grid.p_max, name="APP-LM")
-    app_lm_gnb = AppLmPolicy(model=gnb, schema=schema, grid=grid, logistic=logistic,
-                             p_ref=grid.p_max, name="APP-LM(GNB)")
-    app_des = AppDesPolicy(model=app_dnn, schema=schema, grid=grid, name="APP-DES")
-    dnn_cl_policy = DnnClPolicy(model=dnn_cl, schema=schema, name="DNN-CL")
-
-    print("scoring offline metrics on held-out sessions ...")
-    offline = build_report(
-        {"APP-LM(GNB)": app_lm_gnb, "APP-LM": app_lm, "APP-DES": app_des,
-         "DNN-CL": dnn_cl_policy},
-        eval_sessions, seed=args.seed, dataset_id="eval.jsonl")
+    rows = {}
+    for model, key in MODELS.items():
+        print(f"training and evaluating {model} ...")
+        ckpt = args.out_dir / f"{model}.ckpt.json"
+        report = args.out_dir / f"{model}.report.json"
+        run(f"train {model}", ["train", "--model", model, "--out", str(ckpt),
+                               "--data", str(args.out_dir / "train.jsonl"),
+                               "--grid", ",".join(map(str, GRID)), "--seed", str(args.seed),
+                               "--epochs", str(args.epochs), "--batch-size", "128",
+                               "--dropout", "0.05"])
+        run(f"evaluate {model}", ["evaluate", "--ckpt", str(ckpt), "--report", str(report),
+                                  "--data", str(args.out_dir / "eval.jsonl")])
+        single = from_doc(MetricReport, json.loads(report.read_text()))
+        rows[key] = next(iter(single.model_rows.values()))
+    offline = MetricReport(seed=single.seed, dataset_id=single.dataset_id, model_rows=rows)
     (args.out_dir / "offline_report.json").write_text(offline.to_json())
     print()
     print(offline.render_text())
 
-    arms = (
-        ArmSpec("HUMAN", StaticPricePolicy(price=spec.static_price, grid=grid,
-                                           name="HUMAN"), 1 / 6),
-        ArmSpec("RANDOM", RandomDiscountPolicy(noise, grid, name="RANDOM"), 1 / 6),
-        ArmSpec("APP-LM", app_lm, 1 / 6),
-        ArmSpec("APP-DES", app_des, 1 / 6),
-        ArmSpec("DNN-CL", dnn_cl_policy, 1 / 6),
-        ArmSpec("EPS-GREEDY", EpsilonGreedyPolicy(eps=0.3, explore=app_lm,
-                                                  exploit=app_des,
-                                                  name="EPS-GREEDY"), 1 / 6),
-    )
-    total = args.days * args.sessions_per_day
-    print(f"running {args.days}-day A/B test ({total} sessions, 6 arms) ...")
-    ab = run_abtest(spec, AbConfig(arms=arms, days=args.days,
-                                   sessions_per_day=args.sessions_per_day,
-                                   seed=args.seed + 3))
-    print()
-    print(ab.report.render_text())
-
-    doc = to_doc({"report": ab.report, "daily": ab.daily})
-    (args.out_dir / "abtest.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+    arms = [{"name": "HUMAN", "policy": "human"},
+            {"name": "RANDOM", "policy": "random_discount",
+             "mean_discount": 10.0, "std_discount": 6.0},
+            {"name": "APP-LM", "policy": "app_lm", "checkpoint": "gnbc.ckpt.json"},
+            {"name": "APP-DES", "policy": "app_des", "checkpoint": "app-dnn.ckpt.json"},
+            {"name": "DNN-CL", "policy": "dnn_cl", "checkpoint": "dnn-cl.ckpt.json"},
+            {"name": "EPS-GREEDY", "policy": "epsilon_greedy", "epsilon": 0.3,
+             "explore_checkpoint": "gnbc.ckpt.json",
+             "exploit_checkpoint": "app-dnn.ckpt.json"}]
+    cfg = config("abtest", {"days": args.days, "sessions_per_day": args.sessions_per_day,
+                            "seed": args.seed + 3,
+                            "arms": [{**arm, "split": 1 / 6} for arm in arms]})
+    print(f"running {args.days}-day A/B test "
+          f"({args.days * args.sessions_per_day} sessions, 6 arms) ...\n")
+    table = run("abtest", ["abtest", "--config", cfg, "--out", str(args.out_dir / "abtest.json")])
+    sys.stdout.write(table)
     print(f"artifacts in {args.out_dir}/ ({time.time() - t0:.0f}s total)")
 
 

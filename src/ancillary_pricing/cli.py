@@ -362,12 +362,17 @@ def _cmd_abtest(args) -> int:
     _check_seed(seed)
     spec = _spec_from_cfg(cfg, seed)
     static_price = _cfg(cfg, "static_price", default=spec.static_price)
+    require_positive("static_price", static_price, ConfigError)  # also when no arm uses it
     bundles: dict[Path, PricingBundle] = {}
     try:
         arms = tuple(_arm_from_doc(a, grid, static_price, base_dir, bundles)
                      for a in _cfg(cfg, "arms", tuple[dict, ...]))
     except ValueError as exc:  # e.g. a value a policy refuses
         raise ConfigError(f"bad arm config: {exc}")
+    baseline = _cfg(cfg, "baseline_arm", str | None, "HUMAN")
+    # only a name the config gives: the default serves configs with no HUMAN arm
+    if "baseline_arm" in cfg and baseline not in (None, *(a.name for a in arms)):
+        raise ConfigError(f"bad baseline_arm: {baseline!r} names no arm")
     try:
         config = AbConfig(
             arms=arms,
@@ -375,7 +380,7 @@ def _cmd_abtest(args) -> int:
             sessions_per_day=_cfg(cfg, "sessions_per_day", int),
             sessions_per_day_dist=_cfg(cfg, "sessions_per_day_distribution", str, "fixed"),
             seed=seed,
-            baseline_arm=_cfg(cfg, "baseline_arm", str | None, "HUMAN"),
+            baseline_arm=baseline,
         )
     except ValueError as exc:
         raise ConfigError(str(exc))

@@ -203,24 +203,26 @@ def sgd_train(inputs: np.ndarray, labels: np.ndarray, hidden: Sequence[int],
     n = len(labels)
     step = 0
     trace: list[float] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            loss_vec, grads_w, grads_b = _loss_and_grads(
-                model, inputs[idx], loss_for(labels[idx]),
-                dropout_rate=config.dropout_rate, rng=rng)
-            batch_loss = float(loss_vec.sum())
-            if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(f"non-finite loss at epoch {epoch}, step {step}")
-            epoch_loss += batch_loss
-            lr = learning_rate_at(config, step)
-            for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-                w -= lr * gw
-                b -= lr * gb
-            step += 1
-        trace.append(epoch_loss / n)
+    # A huge rate or loss multiplier overflows quietly; the loss check refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                loss_vec, grads_w, grads_b = _loss_and_grads(
+                    model, inputs[idx], loss_for(labels[idx]),
+                    dropout_rate=config.dropout_rate, rng=rng)
+                batch_loss = float(loss_vec.sum())
+                if not np.isfinite(batch_loss):
+                    raise NonFiniteLoss(f"non-finite loss at epoch {epoch}, step {step}")
+                epoch_loss += batch_loss
+                lr = learning_rate_at(config, step)
+                for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
+                    w -= lr * gw
+                    b -= lr * gb
+                step += 1
+            trace.append(epoch_loss / n)
     return model, trace
 
 

@@ -132,8 +132,9 @@ def max_log_wtp(spec: MarketSpec, sm: SubMarket) -> float:
 
 def check_draws(spec: MarketSpec) -> MarketSpec:
     """``spec``, after a ValueError if a WTP gen_session draws from it could
-    overflow. A config is checked here rather than in ``MarketSpec``, whose
-    fields may hold any finite value."""
+    overflow. ``export_sessions``, ``calibrate`` and ``run_abtest`` check
+    their spec here rather than in ``MarketSpec``, whose fields may hold any
+    finite value."""
     for sm in spec.sub_markets:
         if not max_log_wtp(spec, sm) < MAX_LOG_WTP:  # NaN fails too
             raise ValueError(f"sub-market {sm.name!r} can draw a log-WTP over "
@@ -221,6 +222,7 @@ def calibrate(spec: MarketSpec, target_rate: float, n: int = 100_000,
     """
     if not 0.0 < target_rate < 1.0:
         raise CalibrationDiverged(f"target rate must lie in (0, 1), got {target_rate}")
+    check_draws(spec)
     wtps = np.array([gen_session(spec, rng).wtp for rng in streams(seed, 0, 0, n)])
 
     def conversion(shift: float) -> float:
@@ -256,6 +258,7 @@ def export_sessions(spec: MarketSpec, n: int, seed: int,
     """
     if price_noise is not None and grid is None:
         raise ValueError("price_noise requires a grid for clamping")
+    check_draws(spec)
     out: list[SessionRecord] = []
     for rng in streams(seed, 0, 0, n):
         sim = gen_session(spec, rng)
@@ -331,6 +334,7 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
     policy's draws come only from each session's own stream, so the result
     equals quoting one session at a time.
     """
+    check_draws(spec)
     names = [a.name for a in config.arms]
     cum_splits = np.cumsum([a.split for a in config.arms]).tolist()
     daily: dict[str, list[DayStats]] = {n: [] for n in names}

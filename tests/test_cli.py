@@ -899,3 +899,45 @@ def test_any_config_value_is_run_or_refused(workdir, command, top, arm, arm_edit
         code = cli([command, "--config", str(cfg_path), "--out", str(workdir / "fuzz.out")])
     assert code in (0, 2) and "Traceback" not in err.getvalue()
     assert code == 0 or err.getvalue().startswith("error:")
+
+
+@pytest.mark.parametrize("baseline", ["NOPE", "HUMAN"])
+def test_baseline_arm_that_names_no_arm_is_data_error(tmp_path, capsys, baseline):
+    arms = [{"name": "A", "policy": "human", "split": 0.5},
+            {"name": "B", "policy": "human", "split": 0.5}]
+    cfg_path = tmp_path / "ab.json"
+    for doc, code in (({}, 0), ({"baseline_arm": None}, 0), ({"baseline_arm": "B"}, 0),
+                      ({"baseline_arm": baseline}, 2)):
+        cfg_path.write_text(json.dumps({"days": 1, "sessions_per_day": 10, "arms": arms,
+                                        **doc}))
+        assert cli(["abtest", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "baseline_arm" in err
+
+
+@pytest.mark.parametrize("price", [-5, 0, float("nan"), float("inf")])
+def test_static_price_no_arm_uses_is_still_checked(tmp_path, capsys, price):
+    cfg_path = tmp_path / "ab.json"
+    cfg_path.write_text(json.dumps({
+        "days": 1, "sessions_per_day": 10, "static_price": price,
+        "arms": [{"name": "A", "policy": "human", "split": 0.5, "price": 40},
+                 {"name": "B", "policy": "human", "split": 0.5, "price": 50}]}))
+    assert cli(["abtest", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "static_price" in err
+
+
+@pytest.mark.parametrize("model,flag", [("dnn-cl", "--lr"), ("dnn-cl", "--c2"),
+                                        ("app-dnn", "--lr")])
+def test_refused_training_run_prints_no_numpy_warning(workdir, tmp_path, capsys, model, flag):
+    """A finite but huge setting overflows on the way to ``NonFiniteLoss``:
+    the refusal is the one line the caller sees."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli(["train", "--model", model, "--data", str(workdir / "train.jsonl"),
+                    "--out", str(tmp_path / "m.json"), "--grid", GRID_ARG, "--epochs", "2",
+                    flag, "1e308"]) == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite loss" in err[0]
+    assert not (tmp_path / "m.json").exists()

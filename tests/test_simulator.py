@@ -472,3 +472,23 @@ def test_check_draws_admits_markets_right_up_to_the_overflow():
     for mean in (edge + 1e-9, float("nan")):
         with pytest.raises(ValueError, match="log-WTP"):
             check_draws(with_mean(mean))
+
+
+def _overflowing_market() -> MarketSpec:
+    spec = default_market_spec()
+    return replace(spec, sub_markets=tuple(replace(sm, wtp_log_mean=1e308)
+                                           for sm in spec.sub_markets))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda spec: export_sessions(spec, 3, seed=0),
+    lambda spec: calibrate(spec, 0.06, n=10, seed=0),
+    lambda spec: run_abtest(spec, AbConfig(arms=(_human_arm("H1", 50.0, 0.5),
+                                                 _human_arm("H2", 50.0, 0.5)),
+                                           days=1, sessions_per_day=3)),
+], ids=["export_sessions", "calibrate", "run_abtest"])
+def test_entry_points_refuse_a_market_whose_wtp_overflows(entry):
+    """Each caller of ``gen_session`` checks the market first: a ValueError,
+    not an OverflowError from the first draw."""
+    with pytest.raises(ValueError, match="log-WTP"):
+        entry(_overflowing_market())
