@@ -257,7 +257,11 @@ def _default_grid_from_data(sessions) -> PriceGrid:
     # 11 evenly spaced points from 60% of the top observed price up to it
     p_ref = max(s.price_offered for s in sessions)
     points = tuple(round(p, 4) for p in np.linspace(0.6 * p_ref, p_ref, 11))
-    return PriceGrid(points)
+    try:
+        return PriceGrid(points)
+    except ValueError as exc:  # the rounding merges or zeroes tiny prices
+        raise ConfigError(f"no default grid for a top offered price of {p_ref}: "
+                          f"{exc}; pass --grid") from None
 
 
 def _cmd_train(args) -> int:
@@ -407,11 +411,11 @@ def _cmd_recommend(args) -> int:
 def _cmd_serve(args) -> int:
     from .service import PricingService  # the HTTP stack loads for serve only
 
-    bundle = load_checkpoint(args.ckpt)
     addr = os.environ.get(ADDR_ENV_VAR) or args.addr
     host, _, port_text = addr.rpartition(":")
-    if not host or not port_text.isdigit():
+    if not host or not port_text.isdecimal() or int(port_text) > 65535:
         raise ConfigError(f"bad address {addr!r}, expected host:port")
+    bundle = load_checkpoint(args.ckpt)
     service = PricingService(bundle.policy(), host, int(port_text))
     print(f"serving {bundle.version} on {service.address[0]}:{service.address[1]}")
     try:

@@ -223,6 +223,9 @@ def sgd_train(inputs: np.ndarray, labels: np.ndarray, hidden: Sequence[int],
                     b -= lr * gb
                 step += 1
             trace.append(epoch_loss / n)
+    # each loss is checked before its update, so the last update is checked here
+    if not all(np.isfinite(a).all() for a in (*model.weights, *model.biases)):
+        raise NonFiniteLoss(f"non-finite weights after step {step - 1}")
     return model, trace
 
 

@@ -6,15 +6,19 @@ served price is the nearest grid point. Training minimizes a sum of hinge
 terms taken over grid positions around the snapped price, gated by a
 per-position willingness-to-pay factor derived from the purchase label.
 
-``casewise_loss`` re-derives the same objective from the per-price case
-split (cheaper grid point vs costlier grid point) and exists purely as an
-independent oracle for ``custom_loss``.
+One function, ``_hinge_terms``, computes the hinge terms for a batch of
+sessions. Training sums them (``_batch_loss``); ``custom_loss`` is its
+one-session case. ``casewise_loss`` re-derives the same objective from the
+per-price case split (cheaper grid point vs costlier grid point) and exists
+purely as an independent oracle of that training loss.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,34 +27,10 @@ from .core import EncodedDataset, PolicyTag, PriceGrid, Quote, snap_to_grid
 from .mlp import MlpModel, TrainConfig, forward, sgd_train
 
 
-def wtp_factor(j: int, j_star: int, y: int) -> float:
-    """Willingness-to-pay factor for grid position j (1-based indices).
-
-    Positive exactly for the positions whose hinge terms count: below the
-    snapped price for purchases, above it for non-purchases.
-    """
-    return float((j - j_star) * (-1) ** y)
-
-
-def latent_delta(y: int, sigma: float) -> int:
-    """Latent bound selector: the label where the factor is non-negative."""
-    return y if sigma >= 0 else 0
-
-
-def price_bounds(price: float, delta: int, c1: float, c2: float) -> tuple[float, float]:
-    """Lower/upper price bounds for one grid point.
-
-    delta=1 (purchased side): the point itself is the floor and c2 * price
-    the ceiling; delta=0: c1 * price is the floor and the point the ceiling.
-    """
-    lower = delta * price + (1 - delta) * (c1 * price)
-    upper = (1 - delta) * price + delta * (c2 * price)
-    return lower, upper
-
-
 @dataclass(frozen=True)
 class LossTermBreakdown:
-    """Per-grid-position pieces of the hinge loss (arrays of length |grid|)."""
+    """Per-grid-position pieces of the hinge loss: arrays of length |grid|
+    for one session, or one row per session from ``_hinge_terms``."""
 
     j_star: int  # 1-based
     sigma: np.ndarray
@@ -62,47 +42,51 @@ class LossTermBreakdown:
     active: np.ndarray
 
 
+def _hinge_terms(raw_prices: np.ndarray, labels: np.ndarray, grid: PriceGrid,
+                 c1: float, c2: float) -> LossTermBreakdown:
+    """The hinge pieces of every session at once: ``j_star[n]`` and
+    ``[n, |grid|]`` arrays, row i for ``raw_prices[i]`` and ``labels[i]``.
+
+    sigma is the willingness-to-pay factor (j - j*) * (-1)^y, positive
+    exactly for the positions whose hinges count: below the snapped price
+    for purchases, above it for non-purchases. delta = y where sigma >= 0,
+    else 0, picks the bounds: delta=1 makes the point the floor and c2 times
+    it the ceiling, delta=0 makes c1 times the point the floor and the point
+    the ceiling.
+    """
+    prices = grid.as_array()
+    j = np.arange(1, len(prices) + 1)
+    j_star = snap_to_grid(raw_prices, grid) + 1
+    sign = np.where(labels[:, None] == 1, -1.0, 1.0)  # (-1)^y
+    sigma = (j[None, :] - j_star[:, None]) * sign
+    delta = np.where(sigma >= 0, labels[:, None].astype(float), 0.0)
+    lower = delta * prices + (1.0 - delta) * (c1 * prices)
+    upper = (1.0 - delta) * prices + delta * (c2 * prices)
+    return LossTermBreakdown(
+        j_star=j_star, sigma=sigma, delta=delta, lower=lower, upper=upper,
+        phi_lb=np.maximum(0.0, lower - raw_prices[:, None]),
+        phi_ub=np.maximum(0.0, raw_prices[:, None] - upper),
+        active=sigma > 0)
+
+
 def custom_loss(raw_price: float, y: int, grid: PriceGrid,
                 c1: float, c2: float) -> tuple[float, float, LossTermBreakdown]:
-    """Hinge loss, its subgradient in the raw price, and the term breakdown.
+    """Hinge loss, its subgradient in the raw price, and the term breakdown:
+    row 0 of ``_hinge_terms`` for one session.
 
     The snapped index, the latent deltas, and the active set are treated as
     constants with respect to the raw price; hinge derivatives at exact
     kinks are taken as 0.
     """
-    j_star = snap_to_grid(raw_price, grid) + 1
-    prices = grid.prices
-    n = len(prices)
-    sigma = np.empty(n)
-    delta = np.empty(n)
-    lower = np.empty(n)
-    upper = np.empty(n)
-    phi_lb = np.empty(n)
-    phi_ub = np.empty(n)
-    active = np.empty(n, dtype=bool)
-    loss = 0.0
-    slope = 0.0
-    for idx in range(n):
-        j = idx + 1
-        s = wtp_factor(j, j_star, y)
-        d = latent_delta(y, s)
-        lo, up = price_bounds(prices[idx], d, c1, c2)
-        p_lb = max(0.0, lo - raw_price)
-        p_ub = max(0.0, raw_price - up)
-        sigma[idx], delta[idx] = s, d
-        lower[idx], upper[idx] = lo, up
-        phi_lb[idx], phi_ub[idx] = p_lb, p_ub
-        active[idx] = s > 0
-        if s > 0:
-            loss += p_lb + p_ub
-            if lo - raw_price > 0:
-                slope -= 1.0
-            if raw_price - up > 0:
-                slope += 1.0
-    breakdown = LossTermBreakdown(j_star=j_star, sigma=sigma, delta=delta,
-                                  lower=lower, upper=upper, phi_lb=phi_lb,
-                                  phi_ub=phi_ub, active=active)
-    return loss, slope, breakdown
+    rows = _hinge_terms(np.array([raw_price], dtype=float), np.array([y]), grid, c1, c2)
+    row = {name: column[0] for name, column in vars(rows).items()}
+    bd = LossTermBreakdown(**row | {"j_star": int(row["j_star"])})
+    # Added one by one in grid order, as casewise_loss adds them: a pairwise
+    # np.sum, or the compensated sum() of Python 3.12+, can round differently.
+    loss = reduce(operator.add, (bd.phi_lb + bd.phi_ub)[bd.active].tolist(), 0.0)
+    slope = float(np.count_nonzero(bd.phi_ub[bd.active] > 0)
+                  - np.count_nonzero(bd.phi_lb[bd.active] > 0))
+    return loss, slope, bd
 
 
 def casewise_loss(raw_price: float, y: int, grid: PriceGrid,
@@ -125,20 +109,11 @@ def casewise_loss(raw_price: float, y: int, grid: PriceGrid,
 
 def _batch_loss(raw_prices: np.ndarray, labels: np.ndarray, grid: PriceGrid,
                 c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized loss and subgradient used by the training loop."""
-    prices = grid.as_array()
-    j = np.arange(1, len(prices) + 1)
-    j_star = snap_to_grid(raw_prices, grid) + 1
-    sign = np.where(labels[:, None] == 1, -1.0, 1.0)  # (-1)^y
-    sigma = (j[None, :] - j_star[:, None]) * sign
-    delta = np.where(sigma >= 0, labels[:, None].astype(float), 0.0)
-    lower = delta * prices + (1.0 - delta) * (c1 * prices)
-    upper = (1.0 - delta) * prices + delta * (c2 * prices)
-    gap_lb = lower - raw_prices[:, None]
-    gap_ub = raw_prices[:, None] - upper
-    active = sigma > 0
-    loss = (np.maximum(0.0, gap_lb) + np.maximum(0.0, gap_ub)) * active
-    slope = (-(gap_lb > 0).astype(float) + (gap_ub > 0).astype(float)) * active
+    """Loss and subgradient of each session, the row sums of the active
+    ``_hinge_terms``: the form the training loop uses."""
+    t = _hinge_terms(raw_prices, labels, grid, c1, c2)
+    loss = (t.phi_lb + t.phi_ub) * t.active
+    slope = ((t.phi_ub > 0).astype(float) - (t.phi_lb > 0)) * t.active
     return loss.sum(axis=1), slope.sum(axis=1)
 
 

@@ -941,3 +941,47 @@ def test_refused_training_run_prints_no_numpy_warning(workdir, tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite loss" in err[0]
     assert not (tmp_path / "m.json").exists()
+
+
+def test_training_that_leaves_non_finite_weights_is_refused(workdir, tmp_path, capsys):
+    """One step whose loss is finite but whose update overflows: the weights
+    of the last update are checked too, and no checkpoint is written."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli(["train", "--model", "dnn-cl", "--data", str(workdir / "train.jsonl"),
+                    "--out", str(tmp_path / "m.json"), "--grid", GRID_ARG, "--epochs", "1",
+                    "--batch-size", "100000", "--lr", "1e308"]) == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite weights" in err[0]
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("top", [0.001, 1e-5])
+def test_default_grid_that_rounding_breaks_is_data_error(workdir, tmp_path, capsys, top):
+    """Without --grid the 11 default points round to 4 decimals; a top price
+    this small leaves no valid grid, and the error says to pass one."""
+    log = tmp_path / "tiny.jsonl"
+    docs = [session_to_dict(s) | {"price_offered": top}
+            for s in read_sessions(workdir / "train.jsonl")[:50]]
+    log.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    assert cli(["train", "--model", "gnb", "--data", str(log),
+                "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--grid" in err[0]
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("port", ["65536", "99999", "²"])
+def test_serve_port_out_of_range_is_data_error(workdir, capsys, monkeypatch, port):
+    """Refused before the service is built, so no socket is opened."""
+    from ancillary_pricing.service import PricingService
+
+    def no_socket(*args, **kwargs):
+        raise AssertionError("the service was built")
+
+    monkeypatch.setattr(PricingService, "__init__", no_socket)
+    assert cli(["serve", "--ckpt", str(workdir / "gnb.ckpt.json"),
+                "--addr", f"127.0.0.1:{port}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad address") and "expected host:port" in err

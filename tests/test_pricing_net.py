@@ -12,49 +12,71 @@ from ancillary_pricing.pricing_net import (
     _batch_loss,
     casewise_loss,
     custom_loss,
-    latent_delta,
-    price_bounds,
     recommend_price,
     train_dnncl,
-    wtp_factor,
 )
 
 
+GRID8 = PriceGrid(tuple(float(p) for p in range(10, 90, 10)))
+
+
 class TestWtpFactor:
+    """sigma = (j - j*) * (-1)^y, read off the breakdown at j* = 3."""
+
     def test_not_purchased(self):
-        assert wtp_factor(5, 3, 0) == 2.0
+        _, _, bd = custom_loss(30.0, 0, GRID8, c1=0.8, c2=1.5)
+        assert bd.j_star == 3
+        assert bd.sigma[5 - 1] == 2.0
 
     def test_purchased_flips_sign(self):
-        assert wtp_factor(5, 3, 1) == -2.0
+        _, _, bd = custom_loss(30.0, 1, GRID8, c1=0.8, c2=1.5)
+        assert bd.sigma[5 - 1] == -2.0
 
     @pytest.mark.parametrize("y", [0, 1])
     def test_zero_at_snapped_index(self, y):
-        assert wtp_factor(3, 3, y) == 0.0
+        _, _, bd = custom_loss(30.0, y, GRID8, c1=0.8, c2=1.5)
+        assert bd.sigma[3 - 1] == 0.0
 
 
 class TestLatentDelta:
+    """delta = y where sigma >= 0, else 0, read off the breakdown at j* = 4."""
+
     def test_purchased_nonnegative_factor(self):
-        assert latent_delta(1, 2.0) == 1
+        _, _, bd = custom_loss(40.0, 1, GRID8, c1=0.8, c2=1.5)
+        assert bd.sigma[2 - 1] == 2.0
+        assert bd.delta[2 - 1] == 1
 
     def test_purchased_negative_factor(self):
-        assert latent_delta(1, -2.0) == 0
+        _, _, bd = custom_loss(40.0, 1, GRID8, c1=0.8, c2=1.5)
+        assert bd.sigma[6 - 1] == -2.0
+        assert bd.delta[6 - 1] == 0
 
     @pytest.mark.parametrize("sigma", [-3.0, 0.0, 4.0])
     def test_not_purchased_always_zero(self, sigma):
-        assert latent_delta(0, sigma) == 0
+        _, _, bd = custom_loss(40.0, 0, GRID8, c1=0.8, c2=1.5)
+        j = int(sigma) + 4
+        assert bd.sigma[j - 1] == sigma
+        assert bd.delta[j - 1] == 0
 
 
 class TestPriceBounds:
-    def test_purchased_side(self):
-        assert price_bounds(10.0, 1, c1=0.8, c2=1.5) == (10.0, 15.0)
+    """The bounds of the grid point 10.0, the cheapest of ``grid3``."""
 
-    def test_not_purchased_side(self):
-        assert price_bounds(10.0, 0, c1=0.8, c2=1.5) == (8.0, 10.0)
+    def test_purchased_side(self, grid3):
+        _, _, bd = custom_loss(20.0, 1, grid3, c1=0.8, c2=1.5)
+        assert bd.delta[0] == 1
+        assert (bd.lower[0], bd.upper[0]) == (10.0, 15.0)
+
+    def test_not_purchased_side(self, grid3):
+        _, _, bd = custom_loss(20.0, 0, grid3, c1=0.8, c2=1.5)
+        assert bd.delta[0] == 0
+        assert (bd.lower[0], bd.upper[0]) == (8.0, 10.0)
 
     @pytest.mark.parametrize("delta", [0, 1])
-    def test_unit_multipliers_collapse_bounds(self, delta):
-        lower, upper = price_bounds(10.0, delta, c1=1.0, c2=1.0)
-        assert lower == upper == 10.0
+    def test_unit_multipliers_collapse_bounds(self, grid3, delta):
+        _, _, bd = custom_loss(20.0, delta, grid3, c1=1.0, c2=1.0)
+        assert bd.delta[0] == delta
+        assert bd.lower[0] == bd.upper[0] == 10.0
 
 
 class TestCustomLoss:
@@ -118,17 +140,32 @@ def test_custom_loss_equals_casewise_everywhere(grid, y, c1, c2, t):
     assert loss >= 0.0
 
 
-@given(grid=_grids, y=st.integers(0, 1),
+_long_grids = st.lists(
+    st.floats(min_value=1.0, max_value=1000.0, allow_nan=False, allow_infinity=False),
+    min_size=8, max_size=12, unique=True,
+).map(lambda xs: PriceGrid(tuple(sorted(xs))))
+
+
+@given(grid=_long_grids,
+       sessions=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                                   st.integers(0, 1)), min_size=2, max_size=6),
        c1=st.floats(min_value=0.05, max_value=0.99),
-       c2=st.floats(min_value=1.01, max_value=3.0),
-       t=st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=200)
-def test_batch_loss_matches_scalar(grid, y, c1, c2, t):
-    raw = grid.p_min + t * (grid.p_max - grid.p_min)
-    loss, slope, _ = custom_loss(raw, y, grid, c1, c2)
-    batch_loss, batch_slope = _batch_loss(np.array([raw]), np.array([y]), grid, c1, c2)
-    assert batch_loss[0] == pytest.approx(loss, abs=1e-9)
-    assert batch_slope[0] == slope
+       c2=st.floats(min_value=1.01, max_value=3.0))
+@settings(max_examples=300)
+def test_each_batch_row_is_its_one_session_loss_on_long_grids(grid, sessions, c1, c2):
+    """On 8 to 12 points, where a pairwise sum would round differently from
+    the oracle: ``custom_loss`` equals ``casewise_loss`` exactly, and each row
+    of a batch is bit for bit that session's one-row result."""
+    raws = np.array([grid.p_min + t * (grid.p_max - grid.p_min) for t, _ in sessions])
+    labels = np.array([y for _, y in sessions])
+    batch_loss, batch_slope = _batch_loss(raws, labels, grid, c1, c2)
+    for i, (raw, y) in enumerate(zip(raws.tolist(), labels.tolist())):
+        loss, slope, _ = custom_loss(raw, y, grid, c1, c2)
+        assert loss == casewise_loss(raw, y, grid, c1, c2)
+        one_loss, one_slope = _batch_loss(np.array([raw]), np.array([y]), grid, c1, c2)
+        assert batch_loss[i:i + 1].tobytes() == one_loss.tobytes()
+        assert batch_slope[i:i + 1].tobytes() == one_slope.tobytes()
+        assert slope == one_slope[0]
 
 
 def _kink_distances(raw, grid, c1, c2):
