@@ -62,10 +62,6 @@ class UndefinedMetric(PricingError):
     pass
 
 
-class EmptyInput(PricingError):
-    pass
-
-
 # --- simulation -----------------------------------------------------------
 
 

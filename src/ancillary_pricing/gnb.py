@@ -101,6 +101,11 @@ def fit_gnb(train: EncodedDataset, eps_var: float = 1e-6) -> GnbModel:
     )
 
 
+def _sq_distances(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to each centroid, ``[n, k]``."""
+    return ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
 @dataclass(frozen=True)
 class KMeansModel:
     centroids: np.ndarray  # (k, d)
@@ -115,8 +120,13 @@ class KMeansModel:
         """Nearest-centroid labels; ties go to the lower cluster index."""
         pts = np.atleast_2d(features)
         with np.errstate(over="ignore", invalid="ignore"):  # as in GnbModel.predict_proba_grid
-            d2 = ((pts[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
+            return np.argmin(_sq_distances(pts, self.centroids), axis=1)
+
+    def augment(self, pts: np.ndarray) -> np.ndarray:
+        """``pts[n, d]`` followed by the one-hot of each row's cluster."""
+        onehot = np.zeros((len(pts), self.k))
+        onehot[np.arange(len(pts)), self.assign(pts)] = 1.0
+        return np.hstack([pts, onehot])
 
 
 def fit_kmeans(features: np.ndarray, k: int, seed: int = 0,
@@ -136,7 +146,7 @@ def fit_kmeans(features: np.ndarray, k: int, seed: int = 0,
     labels = np.full(n, -1)
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_distances(pts, centroids)
         new_labels = np.argmin(d2, axis=1)
         for c in range(k):
             members = pts[new_labels == c]
@@ -168,9 +178,7 @@ class GnbcModel:
         if pts.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected {self.n_features} features, got {pts.shape[1]}")
-        onehot = np.zeros((len(pts), self.kmeans.k))
-        onehot[np.arange(len(pts)), self.kmeans.assign(pts)] = 1.0
-        return np.hstack([pts, onehot])
+        return self.kmeans.augment(pts)
 
     predict_proba = _predict_one
     predict_proba_rows = predict_proba_rows
@@ -190,10 +198,8 @@ def fit_gnbc(train: EncodedDataset, k: int = 8, seed: int = 0,
     posterior.
     """
     km = fit_kmeans(train.features, k=k, seed=seed)
-    onehot = np.zeros((train.n, km.k))
-    onehot[np.arange(train.n), km.assign(train.features)] = 1.0
     augmented = EncodedDataset(
-        features=np.hstack([train.features, onehot]),
+        features=km.augment(train.features),
         prices=train.prices,
         labels=train.labels,
         p_max=train.p_max,

@@ -1,15 +1,17 @@
 """Offline and online evaluation metrics plus report assembly.
 
 Offline: ranking quality (AUC), regret against realized purchase prices,
-and the price-decrease recall/precision family. Online: conversion and
-revenue per offer/session. ``build_report`` assembles both into a single
-deterministic document.
+and the price-decrease recall/precision family. Online: ``arm_rows``
+turns each A/B arm's running totals into conversion and revenue per
+offer. ``MetricReport`` holds both as a single deterministic document.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
 from typing import Mapping, Sequence
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .codec import to_doc
 from .core import require_positive
-from .errors import EmptyInput, NoPurchases, SingleClassInput, UndefinedMetric
+from .errors import NoPurchases, SingleClassInput, UndefinedMetric
 from .policies import QUOTE_BLOCK, quote_all
 from .streams import streams
 
@@ -36,14 +38,6 @@ class EvalRecord:
         require_positive("recommended_price", self.recommended_price)
         if self.purchased not in (0, 1):
             raise ValueError("purchased must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class OfferOutcome:
-    """One served offer and whether it converted."""
-
-    price: float
-    purchased: int
 
 
 def auc_roc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -78,7 +72,9 @@ def regret_score(records: Sequence[EvalRecord]) -> float:
     purchased = [r for r in records if r.purchased == 1]
     if not purchased:
         raise NoPurchases("regret score needs at least one purchased record")
-    total = sum(max(0.0, 1.0 - r.recommended_price / r.offered_price) for r in purchased)
+    # left to right: ``sum`` of floats is compensated from Python 3.12 on
+    total = reduce(operator.add, (max(0.0, 1.0 - r.recommended_price / r.offered_price)
+                                  for r in purchased), 0.0)
     return total / len(purchased)
 
 
@@ -107,27 +103,6 @@ def pdf1(pdr_value: float, pdp_value: float) -> float:
     if pdr_value + pdp_value == 0.0:
         return 0.0
     return 2.0 * pdr_value * pdp_value / (pdr_value + pdp_value)
-
-
-def conversion_score(outcomes: Sequence[OfferOutcome]) -> float:
-    if not outcomes:
-        raise EmptyInput("no sessions")
-    return sum(o.purchased for o in outcomes) / len(outcomes)
-
-
-def revenue_per_offer(outcomes: Sequence[OfferOutcome]) -> float:
-    if not outcomes:
-        raise EmptyInput("no offers")
-    return sum(o.price * o.purchased for o in outcomes) / len(outcomes)
-
-
-def revenue_per_session(outcomes: Sequence[OfferOutcome],
-                        n_sessions: int | None = None) -> float:
-    """Realized revenue divided by session count (defaults to one offer per session)."""
-    n = len(outcomes) if n_sessions is None else n_sessions
-    if n <= 0:
-        raise EmptyInput("no sessions")
-    return sum(o.price * o.purchased for o in outcomes) / n
 
 
 @dataclass(frozen=True)
@@ -238,37 +213,27 @@ def model_row_from_records(records: Sequence[EvalRecord]) -> ModelRow:
     return ModelRow(auc=auc, regret=regret, pdr=pdr_value, pdp=pdp_value, pdf1=pdf1_value)
 
 
-def arm_row_from_outcomes(outcomes: Sequence[OfferOutcome],
-                          baseline_revenue_per_offer: float | None = None) -> ArmRow:
-    rpo = revenue_per_offer(outcomes)
-    normalized = None
-    if baseline_revenue_per_offer is not None and baseline_revenue_per_offer > 0:
-        normalized = rpo / baseline_revenue_per_offer
-    return ArmRow(
-        offers=len(outcomes),
-        purchases=int(sum(o.purchased for o in outcomes)),
-        conversion=conversion_score(outcomes),
-        revenue_per_offer=rpo,
-        revenue_per_session=revenue_per_session(outcomes),
-        revenue_per_offer_normalized=normalized,
-    )
-
-
-def arm_rows_from_outcomes(arm_outcomes: Mapping[str, Sequence[OfferOutcome]],
-                           baseline_arm: str | None = None) -> dict[str, ArmRow]:
-    """One row per arm that made offers. Revenue per offer is normalized by
-    the baseline arm's, when that arm made offers."""
-    baseline = arm_outcomes.get(baseline_arm)
-    baseline_rpo = revenue_per_offer(baseline) if baseline else None
-    return {name: arm_row_from_outcomes(outs, baseline_rpo)
-            for name, outs in arm_outcomes.items() if outs}
+def arm_rows(totals: Mapping[str, Sequence], baseline_arm: str | None = None) -> dict[str, ArmRow]:
+    """One row per arm that made offers, from its running ``[offers,
+    purchases, revenue]``. At one offer per session, revenue per session is
+    revenue per offer. Revenue per offer is normalized by the baseline
+    arm's when that arm made offers and earned more than 0."""
+    base = totals.get(baseline_arm)
+    base_rpo = base[2] / base[0] if base and base[0] else 0.0
+    rows = {}
+    for name, (offers, purchases, revenue) in totals.items():
+        if offers:
+            rpo = revenue / offers
+            rows[name] = ArmRow(
+                offers=offers, purchases=purchases, conversion=purchases / offers,
+                revenue_per_offer=rpo, revenue_per_session=rpo,
+                revenue_per_offer_normalized=rpo / base_rpo if base_rpo > 0 else None)
+    return rows
 
 
 def build_report(policies: Mapping[str, object], sessions: Sequence,
-                 seed: int, dataset_id: str = "unnamed",
-                 arm_outcomes: Mapping[str, Sequence[OfferOutcome]] | None = None,
-                 baseline_arm: str | None = None) -> MetricReport:
-    """Offline rows for each policy, plus arm rows when outcomes are given.
+                 seed: int, dataset_id: str = "unnamed") -> MetricReport:
+    """Offline rows for each policy.
 
     Deterministic: the same policies, sessions, and seed reproduce the
     report byte for byte.
@@ -277,5 +242,4 @@ def build_report(policies: Mapping[str, object], sessions: Sequence,
         name: model_row_from_records(records_for_policy(policy, sessions, seed))
         for name, policy in policies.items()
     }
-    return MetricReport(seed=seed, dataset_id=dataset_id, model_rows=model_rows,
-                        arm_rows=arm_rows_from_outcomes(arm_outcomes or {}, baseline_arm))
+    return MetricReport(seed=seed, dataset_id=dataset_id, model_rows=model_rows)

@@ -223,9 +223,12 @@ def sgd_train(inputs: np.ndarray, labels: np.ndarray, hidden: Sequence[int],
                     b -= lr * gb
                 step += 1
             trace.append(epoch_loss / n)
-    # each loss is checked before its update, so the last update is checked here
-    if not all(np.isfinite(a).all() for a in (*model.weights, *model.biases)):
-        raise NonFiniteLoss(f"non-finite weights after step {step - 1}")
+        # each loss is checked before its update, so the last update is checked
+        # here: its weights, and the outputs they give the training inputs
+        if not all(np.isfinite(a).all() for a in (*model.weights, *model.biases)):
+            raise NonFiniteLoss(f"non-finite weights after step {step - 1}")
+        if not np.isfinite(forward(model, inputs)).all():
+            raise NonFiniteLoss(f"non-finite outputs on the training inputs after step {step - 1}")
     return model, trace
 
 

@@ -27,7 +27,7 @@ from .codec import from_doc, to_doc
 from .core import (PriceGrid, SessionRecord, check_finite_fields, is_finite_number, is_integer,
                    require_positive)
 from .errors import CalibrationDiverged
-from .metrics import MetricReport, OfferOutcome, arm_rows_from_outcomes
+from .metrics import MetricReport, arm_rows
 from .policies import (
     QUOTE_BLOCK,
     PricingPolicy,
@@ -315,7 +315,6 @@ class DayStats:
 @dataclass(frozen=True)
 class AbResult:
     daily: dict[str, list[DayStats]]
-    outcomes: dict[str, list[OfferOutcome]]
     report: MetricReport
 
 
@@ -338,7 +337,7 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
     names = [a.name for a in config.arms]
     cum_splits = np.cumsum([a.split for a in config.arms]).tolist()
     daily: dict[str, list[DayStats]] = {n: [] for n in names}
-    outcomes: dict[str, list[OfferOutcome]] = {n: [] for n in names}
+    totals = {n: [0, 0, 0.0] for n in names}  # offers, purchases, revenue
 
     index = 0
     for day in range(config.days):
@@ -365,11 +364,10 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
             for sim, route, price in zip(sims, routes, prices):
                 name = config.arms[route].name
                 y = simulate_decision(sim, price)
-                outcomes[name].append(OfferOutcome(price=price, purchased=y))
-                c = counts[name]
-                c[0] += 1
-                c[1] += y
-                c[2] += price * y
+                for tally in (counts[name], totals[name]):
+                    tally[0] += 1
+                    tally[1] += y
+                    tally[2] += price * y
         for n in names:
             offers, purchases, revenue = counts[n]
             daily[n].append(DayStats(day=day, offers=offers, purchases=purchases,
@@ -378,9 +376,9 @@ def run_abtest(spec: MarketSpec, config: AbConfig) -> AbResult:
     report = MetricReport(
         seed=config.seed,
         dataset_id=f"abtest-days{config.days}-spd{config.sessions_per_day}",
-        arm_rows=arm_rows_from_outcomes(outcomes, config.baseline_arm),
+        arm_rows=arm_rows(totals, config.baseline_arm),
     )
-    return AbResult(daily=daily, outcomes=outcomes, report=report)
+    return AbResult(daily=daily, report=report)
 
 
 def market_spec_to_doc(spec: MarketSpec) -> dict:

@@ -12,7 +12,9 @@ the scalar form.
 import dataclasses
 import hashlib
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from ancillary_pricing.core import (
 )
 from ancillary_pricing.errors import NonFiniteInput, SchemaMismatch
 from ancillary_pricing.gnb import GnbcModel, fit_gnb, fit_gnbc
-from ancillary_pricing.metrics import OfferOutcome, build_report, records_for_policy
+from ancillary_pricing.metrics import ArmRow, build_report, records_for_policy
 from ancillary_pricing.mlp import MlpDemandModel, TrainConfig, forward, train_app
 from ancillary_pricing.policies import (
     AppDesPolicy,
@@ -544,7 +546,8 @@ def test_evaluation_reports_are_pinned(policies, model_type):
 
 def _scalar_abtest(spec, config):
     """The per-session loop run_abtest used before it batched quotes, with
-    each stream built by numpy's own SeedSequence, not by ``streams``."""
+    each stream built by numpy's own SeedSequence, not by ``streams``, and
+    each arm's ``(price, purchased)`` list of the offers it made."""
     names = [a.name for a in config.arms]
     cum_splits = np.cumsum([a.split for a in config.arms])
     daily = {n: [] for n in names}
@@ -565,7 +568,7 @@ def _scalar_abtest(spec, config):
             arm = config.arms[int(np.searchsorted(cum_splits, rng.uniform(), side="right"))]
             quote = _oracle_quote(arm.policy, sim.record, rng)
             y = simulate_decision(sim, quote.recommended_price)
-            outcomes[arm.name].append(OfferOutcome(price=quote.recommended_price, purchased=y))
+            outcomes[arm.name].append((quote.recommended_price, y))
             c = counts[arm.name]
             c[0] += 1
             c[1] += y
@@ -575,6 +578,30 @@ def _scalar_abtest(spec, config):
             daily[n].append(DayStats(day=day, offers=offers, purchases=purchases,
                                      revenue=revenue))
     return daily, outcomes
+
+
+def _oracle_arm_rows(outcomes, baseline_arm):
+    """Arm rows reduced from each arm's list of offers, as ``metrics`` made
+    them before arms kept running totals. Revenue adds left to right
+    (``sum`` of floats is compensated from Python 3.12 on)."""
+    def revenue_per_offer(offers):
+        return reduce(operator.add, (price * y for price, y in offers), 0.0) / len(offers)
+
+    baseline = outcomes.get(baseline_arm)
+    baseline_rpo = revenue_per_offer(baseline) if baseline else None
+    rows = {}
+    for name, offers in outcomes.items():
+        if offers:
+            normalized = None
+            if baseline_rpo is not None and baseline_rpo > 0:
+                normalized = revenue_per_offer(offers) / baseline_rpo
+            purchases = sum(y for _, y in offers)
+            rows[name] = ArmRow(offers=len(offers), purchases=purchases,
+                                conversion=purchases / len(offers),
+                                revenue_per_offer=revenue_per_offer(offers),
+                                revenue_per_session=revenue_per_offer(offers),
+                                revenue_per_offer_normalized=normalized)
+    return rows
 
 
 def _six_arms(policies, rare_split=None):
@@ -598,7 +625,8 @@ def test_run_abtest_equals_scalar_loop(policies, days, per_day, dist, rare):
     result = run_abtest(SPEC, config)
     daily, outcomes = _scalar_abtest(SPEC, config)
     assert _exact(result.daily) == _exact(daily)
-    assert _exact(result.outcomes) == _exact(outcomes)
+    assert (_exact(result.report.arm_rows)
+            == _exact(_oracle_arm_rows(outcomes, config.baseline_arm)))
     if rare is not None:
         assert 0 < len(outcomes["DNN-CL"]) < 5
 

@@ -943,17 +943,23 @@ def test_refused_training_run_prints_no_numpy_warning(workdir, tmp_path, capsys,
     assert not (tmp_path / "m.json").exists()
 
 
-def test_training_that_leaves_non_finite_weights_is_refused(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("model,refusal", [("dnn-cl", "error: non-finite weights"),
+                                           ("app-dnn", "error: non-finite outputs")],
+                         ids=["dnn-cl", "app-dnn"])
+def test_training_whose_last_update_is_unusable_is_refused(workdir, tmp_path, capsys,
+                                                           model, refusal):
     """One step whose loss is finite but whose update overflows: the weights
-    of the last update are checked too, and no checkpoint is written."""
+    of the last update are checked, and so are the outputs they give the
+    training rows (app-dnn's weights stay finite but too large to evaluate).
+    No checkpoint is written."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert cli(["train", "--model", "dnn-cl", "--data", str(workdir / "train.jsonl"),
+        assert cli(["train", "--model", model, "--data", str(workdir / "train.jsonl"),
                     "--out", str(tmp_path / "m.json"), "--grid", GRID_ARG, "--epochs", "1",
                     "--batch-size", "100000", "--lr", "1e308"]) == 2
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "non-finite weights" in err[0]
+    assert len(err) == 1 and err[0].startswith(refusal)
     assert not (tmp_path / "m.json").exists()
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from ancillary_pricing.codec import from_doc
 from ancillary_pricing.errors import (
-    EmptyInput,
     NoPurchases,
     SingleClassInput,
     UndefinedMetric,
@@ -15,18 +16,14 @@ from ancillary_pricing.errors import (
 from ancillary_pricing.metrics import (
     EvalRecord,
     MetricReport,
-    OfferOutcome,
-    arm_row_from_outcomes,
+    arm_rows,
     auc_roc,
     build_report,
-    conversion_score,
     model_row_from_records,
     pdf1,
     pdp,
     pdr,
     regret_score,
-    revenue_per_offer,
-    revenue_per_session,
 )
 from ancillary_pricing.policies import StaticPricePolicy
 
@@ -105,6 +102,13 @@ class TestRegretScore:
         with pytest.raises(NoPurchases):
             regret_score(records)
 
+    def test_terms_add_left_to_right(self):
+        """Ten terms of 1 - 7/10 added left to right have the mean 0.3; a
+        compensated sum (``math.fsum``, or ``sum`` from Python 3.12 on)
+        rounds them to a mean one ulp higher."""
+        assert regret_score([_purchased(10, 7)] * 10) == 0.3
+        assert math.fsum([1.0 - 7 / 10] * 10) / 10 == 0.30000000000000004
+
     @given(c=st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=50)
     def test_scale_invariance(self, c):
@@ -161,39 +165,68 @@ class TestPdf1:
 
 
 class TestOnlineMetrics:
+    """``arm_rows`` from each arm's ``[offers, purchases, revenue]``."""
+
     def test_conversion_arithmetic(self):
-        outcomes = [OfferOutcome(50.0, 1)] * 1392 + [OfferOutcome(50.0, 0)] * 8608
-        assert conversion_score(outcomes) == pytest.approx(0.1392)
+        rows = arm_rows({"A": [10_000, 1392, 1392 * 50.0]})
+        assert rows["A"].conversion == pytest.approx(0.1392)
+        assert rows["A"].purchases == 1392 and rows["A"].offers == 10_000
 
     def test_conversion_bounds(self):
-        assert conversion_score([OfferOutcome(10.0, 0)] * 5) == 0.0
-        assert conversion_score([OfferOutcome(10.0, 1)] * 5) == 1.0
-
-    def test_conversion_empty(self):
-        with pytest.raises(EmptyInput):
-            conversion_score([])
+        rows = arm_rows({"A": [5, 0, 0.0], "B": [5, 5, 50.0]})
+        assert rows["A"].conversion == 0.0
+        assert rows["B"].conversion == 1.0
 
     def test_revenue_per_offer(self):
-        assert revenue_per_offer([OfferOutcome(10.0, 1)]) == 10.0
-        assert revenue_per_offer([OfferOutcome(10.0, 1), OfferOutcome(10.0, 0)]) == 5.0
+        rows = arm_rows({"A": [1, 1, 10.0], "B": [2, 1, 10.0]})
+        assert rows["A"].revenue_per_offer == 10.0
+        assert rows["B"].revenue_per_offer == 5.0
 
-    def test_revenue_per_session_denominator(self):
-        outcomes = [OfferOutcome(10.0, 1)]
-        assert revenue_per_session(outcomes) == 10.0
-        assert revenue_per_session(outcomes, n_sessions=4) == 2.5
+    def test_revenue_per_session_is_revenue_per_offer(self):
+        """One offer per session: the two columns are one number."""
+        row = arm_rows({"A": [3, 2, 71.0]})["A"]
+        assert row.revenue_per_session == row.revenue_per_offer == 71.0 / 3
 
     def test_normalization_against_baseline(self):
-        arm = [OfferOutcome(11.0, 1)]
-        row = arm_row_from_outcomes(arm, baseline_revenue_per_offer=10.0)
-        assert row.revenue_per_offer_normalized == pytest.approx(1.10)
+        rows = arm_rows({"H": [1, 1, 10.0], "A": [1, 1, 11.0]}, baseline_arm="H")
+        assert rows["A"].revenue_per_offer_normalized == pytest.approx(1.10)
+        assert rows["H"].revenue_per_offer_normalized == 1.0
+
+    @pytest.mark.parametrize("baseline", [None, "H"])
+    def test_no_baseline_arm_means_no_normalization(self, baseline):
+        rows = arm_rows({"A": [2, 1, 20.0], "B": [2, 2, 30.0]}, baseline_arm=baseline)
+        assert [r.revenue_per_offer_normalized for r in rows.values()] == [None, None]
+
+    def test_baseline_without_offers_means_no_normalization(self):
+        rows = arm_rows({"H": [0, 0, 0.0], "B": [2, 1, 20.0]}, baseline_arm="H")
+        assert set(rows) == {"B"}
+        assert rows["B"].revenue_per_offer == 10.0
+        assert rows["B"].revenue_per_offer_normalized is None
+
+    def test_baseline_with_zero_revenue_means_no_normalization(self):
+        rows = arm_rows({"H": [3, 0, 0.0], "B": [2, 1, 20.0]}, baseline_arm="H")
+        assert rows["H"].revenue_per_offer == 0.0
+        assert [r.revenue_per_offer_normalized for r in rows.values()] == [None, None]
+
+    def test_arm_without_offers_gets_no_row(self):
+        rows = arm_rows({"H": [2, 1, 20.0], "B": [0, 0, 0.0]}, baseline_arm="H")
+        assert set(rows) == {"H"}
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
-        outcomes = [OfferOutcome(float(p), int(y))
-                    for p, y in zip(rng.uniform(10, 50, 60), rng.integers(0, 2, 60))]
-        shuffled = [outcomes[i] for i in rng.permutation(60)]
-        assert conversion_score(outcomes) == conversion_score(shuffled)
-        assert revenue_per_offer(outcomes) == pytest.approx(revenue_per_offer(shuffled))
+        outcomes = list(zip(rng.uniform(10, 50, 60).tolist(), rng.integers(0, 2, 60).tolist()))
+
+        def row(order):
+            tally = [0, 0, 0.0]
+            for price, y in order:
+                tally[0] += 1
+                tally[1] += y
+                tally[2] += price * y
+            return arm_rows({"A": tally})["A"]
+
+        shuffled = row([outcomes[i] for i in rng.permutation(60)])
+        assert row(outcomes).conversion == shuffled.conversion
+        assert row(outcomes).revenue_per_offer == pytest.approx(shuffled.revenue_per_offer)
 
 
 class _ScoredPolicy:
@@ -258,21 +291,10 @@ class TestBuildReport:
     def test_roundtrip_dict(self, make_session, grid3):
         sessions = [make_session(session_id=f"s{i}", purchased=i % 2) for i in range(4)]
         policy = StaticPricePolicy(price=20.0, grid=grid3)
-        outcomes = {"H": [OfferOutcome(20.0, 1), OfferOutcome(20.0, 0)]}
-        report = build_report({"H": policy}, sessions, seed=1,
-                              arm_outcomes=outcomes, baseline_arm="H")
+        report = dataclasses.replace(build_report({"H": policy}, sessions, seed=1),
+                                     arm_rows=arm_rows({"H": [2, 1, 20.0]}, baseline_arm="H"))
         again = from_doc(MetricReport, json.loads(report.to_json()))
         assert again == report
-
-    def test_arm_without_offers_gets_no_row(self, make_session, grid3):
-        sessions = [make_session(session_id="s0", purchased=1)]
-        policy = StaticPricePolicy(price=20.0, grid=grid3)
-        outcomes = {"H": [], "B": [OfferOutcome(20.0, 1), OfferOutcome(20.0, 0)]}
-        report = build_report({"H": policy}, sessions, seed=1,
-                              arm_outcomes=outcomes, baseline_arm="H")
-        assert set(report.arm_rows) == {"B"}
-        assert report.arm_rows["B"].revenue_per_offer == 10.0
-        assert report.arm_rows["B"].revenue_per_offer_normalized is None
 
 
 def test_model_row_from_records_handles_all_absent():
