@@ -233,11 +233,10 @@ class Quote:
 class DemandModel(Protocol):
     """Purchase-probability estimator f(x, P) in [0, 1].
 
-    ``predict_proba_grid`` is its one prediction method. APP-DES reads it
-    over the whole grid; APP-LM quotes, and both score, through
-    ``predict_proba_rows``, its one-price case. Each batch row must equal
-    its session alone. Only ``policies.des_recommend`` still uses the
-    one-session form ``features[d] -> [g]``.
+    ``predict_proba_grid`` is its one prediction method, and every caller
+    passes a batch: APP-DES reads it over the whole grid; APP-LM quotes,
+    and both score, at one price per session through ``policies._probs_at``.
+    Each batch row must equal its session alone as a batch of one.
     """
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:

@@ -116,9 +116,8 @@ class KMeansModel:
     def k(self) -> int:
         return len(self.centroids)
 
-    def assign(self, features: np.ndarray) -> np.ndarray:
-        """Nearest-centroid labels; ties go to the lower cluster index."""
-        pts = np.atleast_2d(features)
+    def assign(self, pts: np.ndarray) -> np.ndarray:
+        """Nearest-centroid label of each row; ties go to the lower cluster index."""
         with np.errstate(over="ignore", invalid="ignore"):  # as in GnbModel.predict_proba_grid
             return np.argmin(_sq_distances(pts, self.centroids), axis=1)
 
@@ -174,19 +173,16 @@ class GnbcModel:
         return self.kmeans.centroids.shape[1]
 
     def _augment(self, features: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(features)
-        if pts.shape[1] != self.n_features:
+        if features.shape[1] != self.n_features:
             raise DimensionMismatch(
-                f"expected {self.n_features} features, got {pts.shape[1]}")
-        return self.kmeans.augment(pts)
+                f"expected {self.n_features} features, got {features.shape[1]}")
+        return self.kmeans.augment(features)
 
     predict_proba = _predict_one
     predict_proba_rows = predict_proba_rows
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        augmented = self._augment(features)
-        return self.gnb.predict_proba_grid(augmented if np.ndim(features) > 1 else augmented[0],
-                                           prices)
+        return self.gnb.predict_proba_grid(self._augment(features), prices)
 
 
 def fit_gnbc(train: EncodedDataset, k: int = 8, seed: int = 0,

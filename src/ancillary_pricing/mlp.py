@@ -95,8 +95,8 @@ def init_mlp(sizes: Sequence[int], seed: int = 0) -> MlpModel:
     return MlpModel(sizes=sizes, weights=weights, biases=biases, seed=seed)
 
 
-def _forward_cached(model: MlpModel, inputs: np.ndarray, *, train: bool,
-                    dropout_rate: float, rng: np.random.Generator | None):
+def _forward_cached(model: MlpModel, inputs: np.ndarray, *, dropout_rate: float = 0.0,
+                    rng: np.random.Generator | None = None):
     """All layer activations plus the dropout masks actually applied.
 
     Hidden activations are stored post-dropout (inverted scaling folded in),
@@ -109,33 +109,28 @@ def _forward_cached(model: MlpModel, inputs: np.ndarray, *, train: bool,
         z = a @ w + b
         if layer < model.n_layers - 1:
             a = np.maximum(z, 0.0)
-            if train and dropout_rate > 0.0:
+            mask = None
+            if dropout_rate > 0.0:
                 keep = rng.random(a.shape) >= dropout_rate
                 mask = keep / (1.0 - dropout_rate)  # inverted dropout scaling
                 a = a * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
+            masks.append(mask)
         else:
             a = sigmoid(z, 1e-12)
         activations.append(a)
     return activations, masks
 
 
-def forward(model: MlpModel, inputs: np.ndarray, *, train: bool = False,
-            dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
+def forward(model: MlpModel, inputs: np.ndarray):
     """Probability output in (0, 1) for one row, a batch of rows, or a
-    stack of batches (``inputs[..., d]``; one output per row).
-
-    Inference mode is deterministic; train mode applies inverted dropout to
-    hidden activations using ``rng``.
+    stack of batches (``inputs[..., d]``; one output per row), without
+    dropout. Weights that overflow give NaN quietly; callers refuse it.
     """
     arr = np.atleast_2d(np.asarray(inputs, dtype=float))
     if arr.shape[-1] != model.input_dim:
         raise DimensionMismatch(f"expected input dim {model.input_dim}, got {arr.shape[-1]}")
-    if train and dropout_rate > 0.0 and rng is None:
-        raise ValueError("train-mode dropout requires an rng")
-    acts, _ = _forward_cached(model, arr, train=train, dropout_rate=dropout_rate, rng=rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in GnbModel.predict_proba_grid
+        acts, _ = _forward_cached(model, arr)
     out = acts[-1][..., 0]
     return out if np.ndim(inputs) > 1 else float(out[0])
 
@@ -180,8 +175,7 @@ def _loss_and_grads(model: MlpModel, inputs: np.ndarray, loss_fn: Callable, *,
     """Forward, loss and backward for one batch: the per-sample loss vector
     and the gradients of its mean. ``loss_fn`` maps the output vector to
     (per-sample loss, d loss/d output); dropout needs ``rng``."""
-    acts, masks = _forward_cached(model, inputs, train=True,
-                                  dropout_rate=dropout_rate, rng=rng)
+    acts, masks = _forward_cached(model, inputs, dropout_rate=dropout_rate, rng=rng)
     loss_vec, dloss_dout = loss_fn(acts[-1][:, 0])
     grads_w, grads_b = _backward(model, acts, masks,
                                  np.asarray(dloss_dout, dtype=float) / len(inputs))
@@ -273,8 +267,7 @@ class MlpDemandModel:
         return self.mlp.input_dim - 1
 
     def predict_proba_grid(self, features: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """``core.DemandModel.predict_proba_grid``, also for one session
-        ``features[d] -> [g]``.
+        """``core.DemandModel.predict_proba_grid``.
 
         A batch goes through the network as a stacked (n, g, d+1) tensor, so
         each session takes the same (g, d+1) matmuls as on its own and its

@@ -4,7 +4,7 @@ The operations take explicit random draws where randomness is involved, so
 every function here is referentially transparent. The policy classes wrap
 them behind a uniform ``quote_batch(sessions, rngs)`` interface for the
 A/B harness and the evaluation report; the serving layer's
-``quote(session, rng)`` is its one-session case for every model policy.
+``quote(session, rng)`` is its one-session case for every policy.
 The report also scores each block of sessions through ``score_batch``.
 """
 
@@ -27,10 +27,9 @@ from .core import (
     encode,  # unused here; perfbench/layers.py wraps it by name in this module
     encode_matrix,
     require_positive,
-    snap_to_grid,
 )
 from .errors import NonFiniteInput
-from .pricing_net import DnnClModel
+from .pricing_net import DnnClModel, dnncl_quotes
 
 # Sessions priced per quote_batch call by run_abtest and records_for_policy:
 # it bounds the memory of a batch (an (n, grid, features) tensor for APP-DES)
@@ -90,10 +89,10 @@ def des_recommend(model: DemandModel, features: np.ndarray, grid: PriceGrid,
                   model_version: str = "dev") -> Quote:
     """Exhaustive search for the grid price maximizing expected revenue.
 
-    The demand model is evaluated over the whole grid in a single batched
-    call; exact revenue ties go to the lowest price.
+    The demand model is evaluated over the whole grid for the session as a
+    batch of one; exact revenue ties go to the lowest price.
     """
-    probs = model.predict_proba_grid(features, grid.as_array())
+    probs = model.predict_proba_grid(features[None, :], grid.as_array())
     return _des_quotes(np.atleast_2d(probs), grid, model_version)[0]
 
 
@@ -132,7 +131,7 @@ class PricingPolicy(Protocol):
     """Maps a raw session to a price quote; rng covers any exploration.
 
     ``quote_batch(sessions, rngs)[i]`` equals ``quote(sessions[i], rngs[i])``
-    bit for bit, and draws from ``rngs[i]`` in the same order: a model
+    bit for bit, and draws from ``rngs[i]`` in the same order: every
     policy's ``quote`` is ``_quote_one``, the one-session ``quote_batch``.
     ``score_batch(sessions)[i]`` is the purchase-probability estimate at
     ``sessions[i].price_offered``; the whole result is None for a policy
@@ -152,6 +151,12 @@ class PricingPolicy(Protocol):
         ...
 
 
+def _quote_one(policy: PricingPolicy, session: SessionRecord,
+               rng: np.random.Generator) -> Quote:
+    """``quote`` of every policy: its one-session case."""
+    return quote_all(policy, [session], [rng])[0]
+
+
 def _check_in_grid(price: float, grid: PriceGrid) -> None:
     if not grid.p_min <= price <= grid.p_max:
         raise ValueError(f"static price {price} outside grid range [{grid.p_min}, {grid.p_max}]")
@@ -166,11 +171,10 @@ class StaticPricePolicy:
     def __post_init__(self):
         _check_in_grid(self.price, self.grid)
 
-    def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
-        return static_price(self.price)
+    quote = _quote_one
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
-        return [self.quote(s, rng) for s, rng in zip(sessions, rngs)]
+        return [static_price(self.price) for _ in sessions]
 
     def score_batch(self, sessions) -> None:
         return None
@@ -185,13 +189,12 @@ class RandomDiscountPolicy:
     def __post_init__(self):
         _check_in_grid(self.params.static_price, self.grid)
 
-    def quote(self, session: SessionRecord, rng: np.random.Generator) -> Quote:
-        price = random_discount(self.params, float(rng.standard_normal()), self.grid)
-        return Quote(recommended_price=price, policy_tag=PolicyTag.RANDOM,
-                     model_version="random-discount")
+    quote = _quote_one
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
-        return [self.quote(s, rng) for s, rng in zip(sessions, rngs)]
+        gauss = [float(rng.standard_normal()) for rng in rngs]
+        return [Quote(random_discount(self.params, g, self.grid), PolicyTag.RANDOM,
+                      model_version="random-discount") for g in gauss]
 
     def score_batch(self, sessions) -> None:
         return None
@@ -202,7 +205,7 @@ def _grid_probs(model: DemandModel, x: np.ndarray, prices: np.ndarray) -> np.nda
     implements only the one-session form returns the wrong shape for a
     batch: it is refused rather than misalign the quotes. A probability
     that is not finite (a feature so far out that both GNB class
-    likelihoods vanish) is an input error."""
+    likelihoods vanish, or weights that overflow) is an input error."""
     probs = model.predict_proba_grid(x, prices)
     shape = (len(x), np.shape(prices)[-1])
     if np.shape(probs) != shape:
@@ -211,15 +214,9 @@ def _grid_probs(model: DemandModel, x: np.ndarray, prices: np.ndarray) -> np.nda
                          f"see core.DemandModel")
     # count_nonzero, not .all(): the reduction measured slower per served request
     if np.count_nonzero(np.isfinite(probs)) != probs.size:
-        raise NonFiniteInput("the demand model gave a non-finite purchase probability; "
-                             "a feature is out of the range it can price")
+        raise NonFiniteInput("the demand model gave a non-finite purchase probability; a feature "
+                             "is out of the range it can price, or the model's weights overflow")
     return probs
-
-
-def _quote_one(policy: PricingPolicy, session: SessionRecord,
-               rng: np.random.Generator) -> Quote:
-    """``quote`` of a policy that prices in batches: its one-session case."""
-    return quote_all(policy, [session], [rng])[0]
 
 
 def _probs_at(model: DemandModel, schema: EncodingSchema,
@@ -291,11 +288,8 @@ class DnnClPolicy:
     quote = _quote_one
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
-        raw = self.model.raw_price_batch(encode_matrix(sessions, self.schema))
-        prices = self.model.grid.prices
-        return [Quote(recommended_price=prices[i], policy_tag=PolicyTag.DNN_CL,
-                      model_version=self.model_version)
-                for i in snap_to_grid(raw, self.model.grid).tolist()]
+        return dnncl_quotes(self.model, encode_matrix(sessions, self.schema),
+                            self.model_version)
 
     def score_batch(self, sessions) -> None:
         return None  # prices directly; no probability output

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import EncodedDataset, PolicyTag, PriceGrid, Quote, snap_to_grid
+from .errors import NonFiniteInput
 from .mlp import MlpModel, TrainConfig, forward, sgd_train
 
 
@@ -142,14 +143,13 @@ class DnnClModel:
         return self.mlp.input_dim
 
     def raw_price_batch(self, features: np.ndarray) -> np.ndarray:
-        """The network's unsnapped price for each row of ``features[n, d]``
-        (or of one row ``features[d]``).
+        """The network's unsnapped price for each row of ``features[n, d]``.
 
         Each row goes through the network as its own (1, d) matrix of a
         stacked (n, 1, d) tensor, so a session gets the same bits alone as
         in a batch; one flat (n, d) matmul would round differently.
         """
-        x = np.ascontiguousarray(np.atleast_2d(np.asarray(features, dtype=float)))
+        x = np.ascontiguousarray(features, dtype=float)
         s = forward(self.mlp, x[:, None, :])[:, 0]
         return self.grid.p_min + s * (self.grid.p_max - self.grid.p_min)
 
@@ -194,13 +194,21 @@ def custom_loss_on_output(grid: PriceGrid, labels: np.ndarray, c1: float,
     return loss_fn
 
 
+def dnncl_quotes(model: DnnClModel, features: np.ndarray, model_version: str) -> list[Quote]:
+    """The grid price nearest the network's raw price for each row of
+    ``features[n, d]``. A raw price that is not finite is an input error:
+    snapped, it would quote ``p_min``."""
+    raw = model.raw_price_batch(features)
+    if np.count_nonzero(np.isfinite(raw)) != raw.size:
+        raise NonFiniteInput("the pricing network gave a non-finite price; a feature is out "
+                             "of the range it can price, or the model's weights overflow")
+    return [Quote(recommended_price=model.grid.prices[i], policy_tag=PolicyTag.DNN_CL,
+                  model_version=model_version)
+            for i in snap_to_grid(raw, model.grid).tolist()]
+
+
 def recommend_price(model: DnnClModel, features: np.ndarray,
                     model_version: str = "dev") -> Quote:
-    """Serve the grid price nearest the network's raw recommendation for
-    one session: row 0 of ``raw_price_batch``."""
-    idx = snap_to_grid(float(model.raw_price_batch(features)[0]), model.grid)
-    return Quote(
-        recommended_price=model.grid.prices[idx],
-        policy_tag=PolicyTag.DNN_CL,
-        model_version=model_version,
-    )
+    """The DNN-CL quote of one session ``features[d]``: row 0 of
+    ``dnncl_quotes`` on a batch of one."""
+    return dnncl_quotes(model, features[None, :], model_version)[0]

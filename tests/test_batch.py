@@ -51,8 +51,11 @@ from ancillary_pricing.policies import (
     RandomDiscountParams,
     RandomDiscountPolicy,
     StaticPricePolicy,
+    _quote_one,
     logistic_map,
     quote_all,
+    random_discount,
+    static_price,
 )
 from ancillary_pricing.pricing_net import (
     casewise_loss,
@@ -289,7 +292,7 @@ def _oracle_sigmoid(z, clip) -> np.ndarray:
 def _oracle_proba(model, features, price) -> float:
     """The one-row ``predict_proba`` of GNB, GNBC and the MLP demand model."""
     if isinstance(model, GnbcModel):
-        return _oracle_proba(model.gnb, model._augment(features)[0], price)
+        return _oracle_proba(model.gnb, model._augment(features[None, :])[0], price)
     row = np.append(features, price / model.p_max)
     if isinstance(model, MlpDemandModel):
         return float(forward(model.mlp, row))
@@ -325,7 +328,8 @@ def _oracle_raw_price(model, features) -> float:
 
 
 def _oracle_quote(policy, session, rng) -> Quote:
-    """A model policy's per-session ``quote`` body; HUMAN and RANDOM keep theirs."""
+    """Each policy's per-session ``quote`` body, from before every ``quote``
+    became the one-session ``quote_batch``."""
     if isinstance(policy, EpsilonGreedyPolicy):
         u = float(rng.uniform())
         explore = _oracle_quote(policy.explore, session, rng)
@@ -333,16 +337,19 @@ def _oracle_quote(policy, session, rng) -> Quote:
         chosen = explore if u < policy.eps else exploit
         return Quote(chosen.recommended_price, PolicyTag.EPS_GREEDY,
                      chosen.purchase_prob_estimate, chosen.model_version)
-    if not isinstance(policy, (AppLmPolicy, AppDesPolicy, DnnClPolicy)):
-        return policy.quote(session, rng)
+    if isinstance(policy, StaticPricePolicy):
+        return static_price(policy.price)
+    if isinstance(policy, RandomDiscountPolicy):
+        return Quote(random_discount(policy.params, float(rng.standard_normal()), policy.grid),
+                     PolicyTag.RANDOM, model_version="random-discount")
     x = encode(session, policy.schema)
     if isinstance(policy, AppLmPolicy):
         prob = _oracle_proba(policy.model, x, policy.p_ref)
         return Quote(logistic_map(prob, policy.logistic, policy.grid), PolicyTag.APP_LM,
                      prob, policy.model_version)
     if isinstance(policy, AppDesPolicy):
-        return _oracle_des_quote(policy.model.predict_proba_grid(x, policy.grid.as_array()),
-                                 policy.grid, policy.model_version)
+        probs = policy.model.predict_proba_grid(x[None, :], policy.grid.as_array())[0]
+        return _oracle_des_quote(probs, policy.grid, policy.model_version)
     grid = policy.model.grid
     raw = _oracle_raw_price(policy.model, x)
     return Quote(grid.prices[snap_to_grid(raw, grid)], PolicyTag.DNN_CL,
@@ -369,6 +376,12 @@ def test_quote_batch_equals_quote_bitwise(policies, name, seed, n):
     assert [r.bit_generator.state for r in batch_rngs] == states
 
 
+@pytest.mark.parametrize("cls", [StaticPricePolicy, RandomDiscountPolicy, AppLmPolicy,
+                                 AppDesPolicy, DnnClPolicy, EpsilonGreedyPolicy])
+def test_every_policy_quotes_one_session_as_a_batch_of_one(cls):
+    assert cls.__dict__["quote"] is _quote_one
+
+
 def test_single_session_grid_rows_keep_the_column_stack_layout():
     # The scalar grid path rounds as it did when it built its rows with
     # column_stack over a broadcast: same values, same (Fortran) strides.
@@ -387,7 +400,8 @@ def test_predict_proba_grid_rows_equal_single_sessions(policies, name):
     batch = policy.model.predict_proba_grid(x, GRID.as_array())
     assert batch.shape == (200, len(GRID))
     for row, features in zip(batch, x):
-        assert row.tobytes() == policy.model.predict_proba_grid(features, GRID.as_array()).tobytes()
+        alone = policy.model.predict_proba_grid(features[None, :], GRID.as_array())[0]
+        assert row.tobytes() == alone.tobytes()
 
 
 def test_raw_price_batch_equals_raw_price(policies):

@@ -69,6 +69,19 @@ def test_simulate_is_deterministic(workdir, tmp_path):
     assert all(s.purchased in (0, 1) for s in sessions)
 
 
+def test_simulate_log_is_pinned(tmp_path):
+    """SHA-256 of a seeded log from a calibrated market with a random price
+    discount: a change to how sessions are drawn, calibrated, priced or
+    written must show here."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({**SIM_CFG, "n_sessions": 300,
+                               "calibrate": {"target_rate": 0.06, "sample_size": 2000}}))
+    out = tmp_path / "log.jsonl"
+    assert cli(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "24c30860fd3e4c89db7b50329a8c3107b150c8f28d0a25cc96f8c0599033add8")
+
+
 def test_simulate_missing_config_is_data_error(tmp_path):
     assert cli(["simulate", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path / "x.jsonl"), "--seed", "0"]) == 2
@@ -961,6 +974,31 @@ def test_training_whose_last_update_is_unusable_is_refused(workdir, tmp_path, ca
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(refusal)
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["recommend", "evaluate"])
+@pytest.mark.parametrize("model", ["dnn-cl", "app-dnn"])
+def test_checkpoint_whose_network_overflows_is_refused(workdir, tmp_path, capsys,
+                                                       model, command):
+    """Weights that verify but overflow the network give NaN: one error line
+    that names both causes, no numpy warning, and never a ``p_min`` quote."""
+    doc = json.loads((workdir / f"{model}.ckpt.json").read_text())
+    mlp = doc["params"]["mlp"]
+    for w, b in zip(mlp["weights"], mlp["biases"]):
+        w["data"] = [v * 1e300 for v in w["data"]]
+        b["data"] = [v + 1e300 for v in b["data"]]
+    ckpt = tmp_path / "big.ckpt.json"
+    ckpt.write_text(json.dumps(_rehash(doc)))
+    log = workdir / "train.jsonl"
+    argv = {"recommend": ["--session", log.read_text().splitlines()[0]],
+            "evaluate": ["--data", str(log), "--report", str(tmp_path / "r.json")]}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli([command, "--ckpt", str(ckpt), *argv]) == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "out of the range" in err[0] and "weights overflow" in err[0]
 
 
 @pytest.mark.parametrize("top", [0.001, 1e-5])

@@ -10,6 +10,7 @@ from ancillary_pricing.metrics import auc_roc
 from ancillary_pricing.mlp import (
     MlpDemandModel,
     TrainConfig,
+    _loss_and_grads,
     forward,
     grad_check,
     init_mlp,
@@ -56,12 +57,6 @@ class TestForward:
         assert forward(m, np.zeros(3)) == pytest.approx(0.5)
         assert forward(m, np.array([1.0, -2.0, 3.0])) == pytest.approx(0.5)
 
-    def test_no_dropout_train_equals_infer(self):
-        m = init_mlp([3, 5, 1], seed=1)
-        x = np.array([0.5, -0.2, 1.4])
-        rng = np.random.default_rng(0)
-        assert forward(m, x, train=True, dropout_rate=0.0, rng=rng) == forward(m, x)
-
     def test_hand_computed_forward(self):
         m = init_mlp([2, 2, 1], seed=0)
         m.weights[0][:] = np.array([[0.3, -0.5], [0.8, 0.1]])
@@ -81,13 +76,6 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             forward(m, np.zeros(5))
 
-    def test_infer_ignores_rng(self):
-        m = init_mlp([3, 6, 1], seed=2)
-        x = np.array([1.0, 2.0, 3.0])
-        a = forward(m, x, train=False, dropout_rate=0.5, rng=np.random.default_rng(1))
-        b = forward(m, x, train=False, dropout_rate=0.5, rng=np.random.default_rng(99))
-        assert a == b == forward(m, x)
-
     def test_output_strictly_inside_unit_interval(self):
         m = init_mlp([2, 3, 1], seed=0)
         for w in m.weights:
@@ -95,12 +83,34 @@ class TestForward:
         p = forward(m, np.array([1e3, 1e3]))
         assert 0.0 < p < 1.0
 
-    def test_dropout_changes_train_output(self):
+
+class TestDropout:
+    """Dropout is applied only in training, through ``_loss_and_grads``."""
+
+    @staticmethod
+    def _ce(labels):
+        return lambda out: weighted_ce_loss(out, np.asarray(labels, dtype=float))
+
+    def test_zero_rate_equals_no_dropout(self):
+        m = init_mlp([3, 5, 1], seed=1)
+        x = np.array([[0.5, -0.2, 1.4], [0.1, 0.3, -0.7]])
+        loss_fn = self._ce([1, 0])
+        plain = _loss_and_grads(m, x, loss_fn)
+        zero = _loss_and_grads(m, x, loss_fn, dropout_rate=0.0, rng=np.random.default_rng(0))
+        assert zero[0].tobytes() == plain[0].tobytes()
+        for a, b in zip([*zero[1], *zero[2]], [*plain[1], *plain[2]]):
+            assert a.tobytes() == b.tobytes()
+        # and without dropout the loss is the loss of the inference output
+        assert plain[0].tobytes() == loss_fn(forward(m, x))[0].tobytes()
+
+    def test_half_rate_changes_the_per_sample_loss(self):
         m = init_mlp([3, 32, 1], seed=4)
-        x = np.array([0.5, 0.5, 0.5])
-        out_train = forward(m, x, train=True, dropout_rate=0.5,
-                            rng=np.random.default_rng(0))
-        assert out_train != forward(m, x)
+        x = np.array([[0.5, 0.5, 0.5]])
+        loss_fn = self._ce([1])
+        dropped, _, _ = _loss_and_grads(m, x, loss_fn, dropout_rate=0.5,
+                                        rng=np.random.default_rng(0))
+        plain, _, _ = _loss_and_grads(m, x, loss_fn)
+        assert dropped[0] != plain[0]
 
 
 class TestWeightedCeLoss:

@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 from ancillary_pricing.checkpoint import PricingBundle
 from ancillary_pricing.core import PriceGrid, encode_dataset, fit_schema
 from ancillary_pricing.gnb import fit_gnb
+from ancillary_pricing.mlp import init_mlp
 from ancillary_pricing.policies import (
+    DnnClPolicy,
     LogisticMapParams,
     RandomDiscountParams,
     RandomDiscountPolicy,
     StaticPricePolicy,
 )
+from ancillary_pricing.pricing_net import DnnClModel
 from ancillary_pricing.service import (
     MAX_BODY_BYTES,
     PricingService,
@@ -296,6 +299,24 @@ def test_hot_swap_changes_quotes_atomically(service):
         svc.swap_policy(bundle.policy())
     restored = _post(svc, json.dumps(doc).encode())[1]["recommended_price"]
     assert restored == before
+
+
+def test_dnn_cl_network_that_overflows_is_unprocessable(service):
+    """A DNN-CL network whose weights overflow gives NaN, which would snap
+    to ``p_min``: the reply is 422, not a quote."""
+    svc, bundle = service
+    mlp = init_mlp([bundle.model.n_features, 64, 32, 1], seed=0)
+    for w, b in zip(mlp.weights, mlp.biases):
+        w *= 1e300
+        b += 1e300
+    try:
+        svc.swap_policy(DnnClPolicy(DnnClModel(mlp=mlp, grid=GRID, c1=0.8, c2=1.2),
+                                    bundle.schema))
+        status, body = _post(svc, json.dumps(_sample_request()).encode())
+    finally:
+        svc.swap_policy(bundle.policy())
+    assert status == 422
+    assert "weights overflow" in body["error"]
 
 
 def test_get_body_is_read_before_the_next_request(service):
