@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import signal
+import socket
 import subprocess
 import sys
 import warnings
@@ -285,6 +287,28 @@ def test_serve_env_var_overrides_addr_flag(workdir, monkeypatch):
     monkeypatch.setenv("ANCILLARY_PRICING_ADDR", "also-nonsense")
     assert cli(["serve", "--ckpt", str(workdir / "gnb.ckpt.json"),
                 "--addr", "127.0.0.1:0"]) == 2
+
+
+def test_serve_exits_promptly_on_sigint(workdir):
+    """With a keep-alive connection open and idle, SIGINT ends ``serve``
+    with exit 0 well inside the connection's 30 s deadline."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ancillary_pricing.cli", "serve",
+         "--ckpt", str(workdir / "gnb.ckpt.json"), "--addr", "127.0.0.1:0"],
+        env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    try:
+        port = int(proc.stdout.readline().decode().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200 ")
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=5)
+        assert proc.returncode == 0, err.decode()
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
 
 
 def test_log_level_flag_accepted(workdir, tmp_path):
@@ -835,7 +859,7 @@ def test_checkpoint_whose_schema_and_model_disagree_is_data_error(workdir, tmp_p
     ckpt = tmp_path / "mismatch.ckpt.json"
     ckpt.write_text(json.dumps(doc))
     # A checkpoint that loads would be served: return instead of serving forever.
-    monkeypatch.setattr(PricingService, "serve_forever", lambda self: self._server.server_close())
+    monkeypatch.setattr(PricingService, "serve_forever", lambda self: self.shutdown())
     session = json.dumps(session_to_dict(export_sessions(default_market_spec(), 1, seed=42)[0]))
     assert cli(["recommend", "--ckpt", str(ckpt), "--session", session]) == 2
     assert cli(["serve", "--ckpt", str(ckpt), "--addr", "127.0.0.1:0"]) == 2

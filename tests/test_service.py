@@ -1,7 +1,10 @@
 import http.client
 import io
 import json
+import logging
 import socket
+import struct
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -529,3 +532,109 @@ def test_connection_close_with_trailing_blank_closes(service, blank):
         reply = sock.makefile("rb").read()  # until the server closes
     assert reply.startswith(b"HTTP/1.1 200 ")
     assert reply.endswith(b'{"status": "ok"}')
+
+
+# -- one selector loop serves every connection --
+
+def _read_replies(sock, count):
+    """``count`` replies read in order from one connection: (status, body)."""
+    replies = sock.makefile("rb")
+    out = []
+    for _ in range(count):
+        status = int(replies.readline().split()[1])
+        headers = http.client.parse_headers(replies)
+        out.append((status, json.loads(replies.read(int(headers["Content-Length"])))))
+    return out
+
+
+def _price_request(doc) -> bytes:
+    body = json.dumps(doc).encode()
+    return b"POST /v1/price HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+def test_pipelined_requests_are_answered_in_order(service):
+    svc, bundle = service
+    doc = _sample_request(seed=12)
+    quote = bundle.policy().quote(session_from_dict(doc, line=1), np.random.default_rng(0))
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n" + _price_request(doc)
+                     + b"GET /nope HTTP/1.1\r\n\r\n")
+        assert _read_replies(sock, 3) == [(200, {"status": "ok"}), (200, quote.to_dict()),
+                                          (404, {"error": "not found"})]
+
+
+def test_a_peer_that_never_reads_holds_up_no_other(service):
+    svc, _ = service
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(1.0)
+        sock.connect(svc.address)
+        try:  # far more replies than the socket buffers hold: the server must wait to send
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n" * 100_000)
+        except TimeoutError:
+            pass
+        t0 = time.perf_counter()
+        assert _get(svc, "/healthz") == (200, {"status": "ok"})
+        assert time.perf_counter() - t0 < 2
+
+
+def test_trickled_request_is_parsed_a_bounded_number_of_times(service, monkeypatch):
+    svc, _ = service
+    calls = []
+    handle = _Handler.handle_one_request
+
+    def counted(self):
+        calls.append(self.client_address)
+        handle(self)
+
+    monkeypatch.setattr(_Handler, "handle_one_request", counted)
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for byte in _price_request(_sample_request()):
+            sock.sendall(bytes([byte]))
+            time.sleep(0.0005)
+        assert _read_replies(sock, 1)[0][0] == 200
+        # Once each for the request line, the header block and the body.
+        assert calls.count(sock.getsockname()) <= 3
+
+
+def test_keepalive_connections_start_no_threads(service):
+    svc, _ = service
+    before = threading.active_count()
+    socks = [socket.create_connection(svc.address, timeout=10) for _ in range(16)]
+    try:
+        for sock in socks:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+        for sock in socks:
+            assert _read_replies(sock, 1) == [(200, {"status": "ok"})]
+        assert threading.active_count() == before
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+def test_peer_reset_mid_pipeline_is_closed_quietly(service, caplog):
+    svc, _ = service
+    pipeline = _price_request(_sample_request()) * 50
+    with caplog.at_level(logging.ERROR, logger="ancillary_pricing.service"):
+        for _ in range(20):
+            sock = socket.create_connection(svc.address, timeout=10)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(pipeline)
+            sock.close()  # with linger 0: a reset
+        for _ in range(20):  # the requests the server took are answered by now
+            if caplog.records:
+                break
+            time.sleep(0.05)
+        assert _get(svc, "/healthz")[0] == 200
+    assert [r.getMessage() for r in caplog.records] == []
+
+
+def test_a_handler_fault_closes_only_its_connection(service, monkeypatch):
+    svc, _ = service
+    monkeypatch.setattr(_Handler, "do_GET", lambda self: 1 / 0)
+    with socket.create_connection(svc.address, timeout=10) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+        assert sock.recv(1024) == b""
+    monkeypatch.undo()
+    assert _get(svc, "/healthz") == (200, {"status": "ok"})
