@@ -2,12 +2,15 @@ import http.client
 import io
 import json
 import logging
+import re
+import selectors
 import socket
 import struct
 import threading
 import time
 import urllib.error
 import urllib.request
+from http import HTTPStatus
 
 import numpy as np
 import pytest
@@ -638,3 +641,211 @@ def test_a_handler_fault_closes_only_its_connection(service, monkeypatch):
         assert sock.recv(1024) == b""
     monkeypatch.undo()
     assert _get(svc, "/healthz") == (200, {"status": "ok"})
+
+
+# -- the bytes on the wire --
+
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+def _wire(status: int, body: dict, *, close=False, head=False) -> bytes:
+    """A reply as the service writes it, with the ``Date`` value and the
+    Python version in ``Server`` masked as ``_exchange_all`` masks them."""
+    blob = json.dumps(body).encode()
+    return (b"HTTP/1.1 %d %s\r\nServer: BaseHTTP/0.6 Python/*\r\nDate: *\r\n"
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s" % (
+                status, HTTPStatus(status).phrase.encode(), len(blob),
+                b"Connection: close\r\n" if close else b"", b"" if head else blob))
+
+
+def _bare(body: dict) -> bytes:
+    """A reply to a request left at HTTP/0.9: the body alone."""
+    return json.dumps(body).encode()
+
+
+def _error(status: int, message: str, **kwargs) -> bytes:
+    return _wire(status, {"error": message}, **kwargs)
+
+
+def _wire_table(bundle) -> list[tuple[str, bytes, bytes, bool, bytes]]:
+    """(id, request, reply, whether the server then closes, what a half-close
+    adds). Each request ends where the server stops reading it."""
+    doc = _sample_request(seed=12)
+    body = json.dumps(doc).encode()
+    quote = bundle.policy().quote(session_from_dict(doc, line=1), np.random.default_rng(0))
+    nan = json.dumps({**doc, "price_comparison_score": float("nan")}).encode()
+    no_market = json.dumps({k: v for k, v in doc.items() if k != "market"}).encode()
+
+    def post(payload: bytes, head=b"", version=b"HTTP/1.1", path=b"/v1/price") -> bytes:
+        return (b"POST %s %s\r\nContent-Length: %d\r\n%s\r\n%s"
+                % (path, version, len(payload), head, payload))
+
+    ok, healthz, not_found = (_wire(200, quote.to_dict()), _wire(200, {"status": "ok"}),
+                              _error(404, "not found"))
+    empty = _error(400, "malformed request body: Expecting value: line 1 column 1 (char 0)")
+    get = b"GET /healthz HTTP/1.1\r\n"
+    uri = b"/" + b"a" * (65_536 - len(b"GET  HTTP/1.1\r\n") - 1)
+    return [
+        ("price", post(body), ok, False, b""),
+        ("price-close", post(body, b"Connection: close\r\n"), ok, True, b""),
+        ("price-http10", post(body, version=b"HTTP/1.0"), ok, True, b""),
+        ("price-http10-keep-alive", post(body, b"Connection: keep-alive\r\n", b"HTTP/1.0"),
+         ok, False, b""),
+        ("price-keep-alive", post(body, b"Connection: Keep-Alive\r\n"), ok, False, b""),
+        ("price-client-headers", post(body, b"Host: x\r\nContent-Type: application/json\r\n"
+                                            b"Accept-Encoding: identity\r\n"), ok, False, b""),
+        ("bad-json", post(b"{"), _error(400, "malformed request body: Expecting property name "
+                                              "enclosed in double quotes: line 1 column 2 (char 1)"),
+         False, b""),
+        ("empty-body", post(b""), empty, False, b""),
+        ("no-content-length", b"POST /v1/price HTTP/1.1\r\n\r\n", empty, False, b""),
+        ("not-utf8", post(b"\xff"), _error(400, "malformed request body: 'utf-8' codec can't "
+                                                 "decode byte 0xff in position 0: invalid start "
+                                                 "byte"), False, b""),
+        ("missing-field", post(no_market), _error(422, "missing required field 'market'"),
+         False, b""),
+        ("not-an-object", post(b"[1]"), _error(422, "expected an object, got list"), False, b""),
+        ("non-finite", post(nan),
+         _error(422, "field 'price_comparison_score' must be finite, got nan"), False, b""),
+        ("bad-content-length", b"POST /v1/price HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+         _error(400, "bad Content-Length: 'abc'", close=True), True, b""),
+        ("negative-content-length", b"POST /v1/price HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         _error(400, "bad Content-Length: '-5'", close=True), True, b""),
+        ("too-large", b"POST /v1/price HTTP/1.1\r\nContent-Length: 65537\r\n\r\n",
+         _error(413, "body over 65536 bytes", close=True), True, b""),
+        ("chunked", b"POST /v1/price HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+         _error(501, "Transfer-Encoding is not supported; send a Content-Length", close=True),
+         True, b""),
+        ("two-lengths", b"POST /v1/price HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n"
+                        b"\r\n", _error(400, "conflicting Content-Length fields", close=True),
+         True, b""),
+        ("obs-fold", b"POST /v1/price HTTP/1.1\r\nHost: x\r\n  y\r\n\r\n",
+         _error(400, "malformed header line (RFC 9112 section 5)", close=True), True, b""),
+        ("post-not-found", post(b"{}", path=b"/v2/price"), _error(404, "not found", close=True),
+         True, b""),
+        ("get-not-found", b"GET /nope HTTP/1.1\r\n\r\n", not_found, False, b""),
+        ("healthz", get + b"\r\n", healthz, False, b""),
+        ("healthz-with-body", get + b"Content-Length: 2\r\n\r\n{}", healthz, False, b""),
+        ("healthz-double-slash", b"GET //healthz HTTP/1.1\r\n\r\n", healthz, False, b""),
+        ("healthz-close", get + b"Connection: close\r\n\r\n", healthz, True, b""),
+        ("healthz-close-tab", get + b"Connection: close\t\r\n\r\n", healthz, True, b""),
+        ("healthz-http10", b"GET /healthz HTTP/1.0\r\n\r\n", healthz, True, b""),
+        ("healthz-http10-keep-alive", b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+         healthz, False, b""),
+        ("healthz-http1.10", b"GET /healthz HTTP/1.10\r\n\r\n", healthz, False, b""),
+        ("get-too-large-body", get + b"Content-Length: 65537\r\n\r\n",
+         _error(413, "body over 65536 bytes", close=True), True, b""),
+        ("head", b"HEAD /healthz HTTP/1.1\r\n\r\n",
+         _error(501, "Unsupported method ('HEAD')", close=True, head=True), True, b""),
+        ("head-http10", b"HEAD /healthz HTTP/1.0\r\n\r\n",
+         _error(501, "Unsupported method ('HEAD')", close=True, head=True), True, b""),
+        ("http09", b"GET /healthz\r\n\r\n", _bare({"status": "ok"}), True, b""),
+        ("http09-keep-alive", b"GET /healthz\r\nConnection: keep-alive\r\n\r\n",
+         _bare({"status": "ok"}), False, b""),
+        ("http09-not-found", b"GET /nope\r\n\r\n", _bare({"error": "not found"}), True, b""),
+        ("http09-post", b"POST /v1/price\r\n",
+         _bare({"error": "Bad HTTP/0.9 request type ('POST')"}), True, b""),
+        ("bad-version", b"GET / HTTP/x\r\n", _bare({"error": "Bad request version ('HTTP/x')"}),
+         True, b""),
+        ("http2", b"GET / HTTP/2.0\r\n", _bare({"error": "Invalid HTTP version (2.0)"}),
+         True, b""),
+        ("bad-syntax", b"GET / x HTTP/1.1\r\n",
+         _error(400, "Bad request syntax ('GET / x HTTP/1.1')", close=True), True, b""),
+        ("one-word", b"GET\r\n", _bare({"error": "Bad request syntax ('GET')"}), True, b""),
+        ("put", b"PUT /v1/price HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+         _error(501, "Unsupported method ('PUT')", close=True), True, b""),
+        ("uri-too-long", b"GET /" + b"a" * (65_537 - 5),
+         _error(414, "Request-URI Too Long", close=True), True, b""),
+        ("uri-at-the-limit", b"GET " + uri + b" HTTP/1.1\r\n\r\n", not_found, False, b""),
+        ("header-line-too-long", get + b"X-A: " + b"b" * (65_537 - 5),
+         _error(431, "Line too long", close=True), True, b""),
+        ("99-headers", get + b"X-A: b\r\n" * 99 + b"\r\n", healthz, False, b""),
+        ("100-headers", get + b"X-A: b\r\n" * 100 + b"\r\n",
+         _error(431, "Too many headers", close=True), True, b""),
+        ("101-headers", get + b"X-A: b\r\n" * 101,
+         _error(431, "Too many headers", close=True), True, b""),
+        ("expect-continue", post(body, b"Expect: 100-continue\r\n"), _CONTINUE + ok, False, b""),
+        ("expect-continue-http10", post(body, b"Expect: 100-continue\r\n", b"HTTP/1.0"), ok,
+         True, b""),
+        ("expect-continue-no-body",
+         b"POST /v1/price HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 9\r\n\r\n",
+         _CONTINUE, False, empty),
+        ("expect-continue-put",
+         b"PUT /v1/price HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 0\r\n\r\n",
+         _CONTINUE + _error(501, "Unsupported method ('PUT')", close=True), True, b""),
+        ("pipeline", get + b"\r\n" + post(body) + b"GET /nope HTTP/1.1\r\n\r\n",
+         healthz + ok + not_found, False, b""),
+        ("pipeline-http10-first", b"GET /healthz HTTP/1.0\r\n\r\n" + get + b"\r\n", healthz,
+         True, b""),
+        ("pipeline-close-first", get + b"Connection: close\r\n\r\n" + get + b"\r\n",
+         healthz, True, b""),
+        ("pipeline-not-found-post", post(b"{}", path=b"/v2/price") + get + b"\r\n",
+         _error(404, "not found", close=True), True, b""),
+        ("pipeline-then-cut", get + b"\r\nGET /hea", healthz, False,
+         _bare({"error": "not found"})),
+        ("request-line-cut", b"GET /healthz HTTP/1.1", b"", False, healthz),
+        ("request-line-cut-http09", b"GET /heal", b"", False, _bare({"error": "not found"})),
+        ("request-line-cut-post", b"POST /v1/pr", b"", False,
+         _bare({"error": "Bad HTTP/0.9 request type ('POST')"})),
+        ("header-block-cut", get + b"Host: x\r\n", b"", False, healthz),
+        ("header-line-cut", get + b"Host: x", b"", False, healthz),
+        ("header-name-cut", b"POST /v1/price HTTP/1.1\r\nContent-Len", b"", False,
+         _error(400, "malformed header line (RFC 9112 section 5)", close=True)),
+        ("body-cut", b'POST /v1/price HTTP/1.1\r\nContent-Length: 20\r\n\r\n{"a": 1', b"", False,
+         _error(400, "malformed request body: Expecting ',' delimiter: line 1 column 8 "
+                     "(char 7)")),
+        ("body-missing", b"POST /v1/price HTTP/1.1\r\nContent-Length: 20\r\n\r\n", b"", False,
+         empty),
+        ("blank-line", b"\r\n", b"", True, b""),
+        ("blank-lf", b"\n", b"", True, b""),
+        ("blank-blanks", b" \t\r\n", b"", True, b""),
+        ("blank-before-request", b"\r\n" + get + b"\r\n", b"", True, b""),
+        ("nothing", b"", b"", False, b""),
+    ]
+
+
+def _exchange_all(address, requests, half_close: bool) -> list[tuple[bytes, bool]]:
+    """Send each request on a connection of its own (then shut the sending
+    side, if ``half_close``) and read all of them at once: the bytes each got,
+    masked, and whether the server closed it. A connection the server keeps
+    open has sent all it will once no byte has come on any for a second."""
+    socks = [socket.create_connection(address, timeout=10) for _ in requests]
+    got = {sock: bytearray() for sock in socks}
+    closed = set()
+    try:
+        with selectors.DefaultSelector() as sel:
+            for sock, request in zip(socks, requests):
+                sock.sendall(request)
+                if half_close:
+                    sock.shutdown(socket.SHUT_WR)
+                sel.register(sock, selectors.EVENT_READ)
+            while len(closed) < len(socks):
+                events = sel.select(1.0)
+                if not events:
+                    break
+                for key, _ in events:
+                    data = key.fileobj.recv(65_536)
+                    got[key.fileobj] += data
+                    if not data:
+                        closed.add(key.fileobj)
+                        sel.unregister(key.fileobj)
+    finally:
+        for sock in socks:
+            sock.close()
+    masked = [re.sub(rb"(\r\nServer: BaseHTTP/0\.6 Python/)[^\r\n]*", rb"\1*",
+                     re.sub(rb"(\r\nDate: )[^\r\n]*", rb"\1*", bytes(got[sock])))
+              for sock in socks]
+    return [(reply, sock in closed) for reply, sock in zip(masked, socks)]
+
+
+@pytest.mark.parametrize("half_close", [False, True], ids=["open", "half-closed"])
+def test_wire_bytes_are_pinned(service, half_close):
+    """Every byte of each reply, for requests sent whole and for requests the
+    peer ends with a half-close (which answers a request cut short)."""
+    svc, bundle = service
+    table = _wire_table(bundle)
+    got = _exchange_all(svc.address, [request for _, request, *_ in table], half_close)
+    expected = [(reply + at_eof, True) if half_close else (reply, closes)
+                for _, _, reply, closes, at_eof in table]
+    assert dict(zip([name for name, *_ in table], got)) == dict(
+        zip([name for name, *_ in table], expected))
