@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -418,10 +419,13 @@ def _cmd_serve(args) -> int:
     bundle = load_checkpoint(args.ckpt)
     service = PricingService(bundle.policy(), host, int(port_text))
     print(f"serving {bundle.version} on {service.address[0]}:{service.address[1]}")
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as on SIGINT
     try:
         service.serve_forever()
     except KeyboardInterrupt:
         service.shutdown()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -175,17 +175,6 @@ class EncodingSchema:
         n += sum(len(f.levels) + 1 for f in self.categorical)
         return n
 
-    def column_names(self) -> list[str]:
-        cols: list[str] = []
-        for f in self.numeric:
-            cols.append(f.name)
-            if f.optional:
-                cols.append(f"{f.name}__missing")
-        for f in self.categorical:
-            cols.extend(f"{f.name}={lvl}" for lvl in f.levels)
-            cols.append(f"{f.name}=<unknown>")
-        return cols
-
     @cached_property
     def _plan(self) -> tuple[tuple, tuple]:
         """What ``encode_matrix`` reads per feature, built once per schema:

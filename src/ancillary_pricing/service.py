@@ -6,16 +6,22 @@ served against an immutable policy snapshot; swapping in a new model is a
 single reference replacement, so in-flight readers are never disrupted.
 
 One thread serves every connection: a ``selectors`` loop owns the listener
-and each socket, and runs ``_Handler`` on a request once its bytes are in.
-No socket call blocks, so a slow or silent peer holds up no other.
+and each socket. A connection frames its current request as the bytes
+arrive, each byte scanned once: the request line, the header block, then
+the Content-Length body. The request is answered once, when it is
+complete, or as soon as its head is refused. No socket call blocks, so a
+slow or silent peer holds up no other.
 
 Each connection is bounded: a request body may hold at most MAX_BODY_BYTES,
 and a connection that makes no progress for CONNECTION_TIMEOUT_S seconds
 (its deadline) is closed: quietly when idle between requests, after a 408
 when short of its promised body, and at once when its peer does not read
 the replies.
-Header blocks keep http.client's limits (431), and a block whose framing is
-ambiguous (RFC 9112 sections 5 and 6.3) is refused with 400 and a close.
+Request lines and header blocks keep http.client's limits (414, 431), and a
+block whose framing is ambiguous (RFC 9112 sections 5 and 6.3) is refused
+with 400 and a close. The request-line rules, the status lines and the
+Server and Date headers are those of the stdlib's ``http.server``, which
+is not used.
 """
 
 from __future__ import annotations
@@ -26,10 +32,12 @@ import logging
 import re
 import selectors
 import socket
+import sys
 import threading
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler
+from email.utils import formatdate
+from http import HTTPStatus
 
 import numpy as np
 
@@ -48,82 +56,7 @@ _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # a field name (RFC 9110 5
 _SEED0_STATE = np.random.PCG64(0).state
 _POLL_S = 0.5  # the longest the loop sleeps: how late a deadline or shutdown() is seen
 _RECV_BYTES = 65536
-
-
-class _NeedMore(BaseException):
-    """A read ran past the bytes received. Not an ``Exception``, so that
-    ``do_POST``'s ``except Exception`` lets it through to the loop."""
-
-
-class _Input:
-    """One connection's received bytes: the ``rfile`` its ``_Handler`` reads.
-
-    Each run of the handler reads the current request from its first byte.
-    A read that runs past the bytes received raises ``_NeedMore`` and records
-    what would let it finish; ``ready`` tells when that has arrived, looking
-    only at bytes it has not scanned: the request line's end, the header
-    block's end or a line or count past its limits, or the body's last byte.
-    So a request is run at most once for each of these however its bytes
-    trickle in. At end of stream a read returns what there is; once the
-    deadline has passed, a read short of its bytes raises TimeoutError."""
-
-    def __init__(self):
-        self.data = bytearray()
-        self.eof = self.expired = False
-        self.pos = 0
-        self.next_request()
-
-    def next_request(self):
-        """Drop the bytes of the request just answered; wait for a request line."""
-        del self.data[:self.pos]
-        self.pos = self.lines = 0  # lines: readline calls of this run
-        self.line = self.scanned = 0  # the line the scan is in; the first byte not scanned
-        self.headers: int | None = None  # header lines before it; None: the request line
-        self.want: int | None = None  # the body's end, when a read(size) stalled
-
-    def ready(self) -> bool:
-        if self.eof or self.expired:
-            return True
-        if self.want is not None:
-            return len(self.data) >= self.want
-        while True:  # the window and limits are those of the handler's readline calls
-            end = self.data.find(b"\n", self.scanned, self.line + _MAX_LINE + 1)
-            if end < 0:
-                self.scanned = len(self.data)
-                return self.scanned - self.line > _MAX_LINE
-            if (self.headers is None or end + 1 - self.line > _MAX_LINE
-                    or self.headers >= _MAX_HEADERS
-                    or self.data[self.line:end + 1] in (b"\n", b"\r\n")):
-                return True
-            self.headers += 1
-            self.line = self.scanned = end + 1
-
-    def readline(self, limit: int) -> bytes:
-        end = self.data.find(b"\n", self.pos, self.pos + limit)
-        if end < 0 and len(self.data) < self.pos + limit:
-            self.line, self.scanned, self.want = self.pos, len(self.data), None
-            self.headers = self.lines - 1 if self.lines else None
-            self._stall()
-        self.lines += 1
-        return self._take(end + 1 if end >= 0 else self.pos + limit)
-
-    def read(self, size: int) -> bytes:
-        if len(self.data) < self.pos + size:
-            self.want = self.pos + size
-            self._stall()
-        return self._take(self.pos + size)
-
-    def _stall(self):
-        if self.eof:
-            return
-        if self.expired:
-            raise TimeoutError("the connection's deadline passed")
-        raise _NeedMore
-
-    def _take(self, stop: int) -> bytes:
-        chunk = bytes(self.data[self.pos:stop])
-        self.pos += len(chunk)
-        return chunk
+_SERVER = "BaseHTTP/0.6 Python/" + sys.version.split()[0]  # http.server's Server value
 
 
 class _RefusedHeaders(Exception):
@@ -159,26 +92,94 @@ def _read_headers(rfile) -> dict[str, str]:
     return headers
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    timeout = CONNECTION_TIMEOUT_S
+class _Connection:
+    """A socket, the bytes received and not yet answered, the reply bytes
+    not yet sent, and when it is closed if no progress is made.
 
-    def __init__(self, client_address, server: PricingService):
-        """One connection's handler. It is not run at once, as the stdlib's
-        is: the loop calls ``handle_one_request`` each time its ``rfile``
-        may hold the next request, and sends what it wrote to ``wfile``."""
-        self.client_address, self.server = client_address, server
-        self.rfile, self.wfile = _Input(), io.BytesIO()
-        self._rng = np.random.default_rng(0)  # reset to _SEED0_STATE before each quote
+    The request at the front of ``data`` is framed as its bytes arrive:
+    ``line`` is where the head's line being scanned starts, ``scanned`` the
+    first byte not yet scanned and ``lines`` the head's lines read so far,
+    the request line first. Once the head is in, the body lies from
+    ``start`` to ``body_end``. ``close`` is whether the connection ends with
+    this request, ``closing`` that it ends once ``out`` has gone."""
 
-    def parse_request(self) -> bool:
-        """The stdlib's ``parse_request`` with ``_read_headers`` in place of
-        ``http.client.parse_headers``, an ``email`` parse of every block.
-        (protocol_version is HTTP/1.1, so the stdlib's checks of it hold.)"""
-        self.command = None
-        self.request_version = version = self.default_request_version
-        self.close_connection = True
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+    __slots__ = ("sock", "address", "service", "rng", "data", "scanned", "line", "lines",
+                 "start", "body_end", "requestline", "command", "path", "version", "close",
+                 "out", "eof", "closing", "deadline")
+
+    def __init__(self, sock: socket.socket, address, service: PricingService):
+        self.sock, self.address, self.service = sock, address, service
+        self.rng = np.random.default_rng(0)  # reset to _SEED0_STATE before each quote
+        self.data, self.out = bytearray(), bytearray()
+        self.eof = self.closing = False
+        self.deadline = time.monotonic() + CONNECTION_TIMEOUT_S
+        self._next_request(0)
+
+    def _next_request(self, end: int) -> None:
+        """Drop the bytes up to ``end``; frame the request that follows."""
+        del self.data[:end]
+        self.scanned = self.line = self.lines = 0
+        self.body_end = None
+
+    def frame(self, expired: bool) -> bool:
+        """Take the current request as far as its bytes go: refuse its head,
+        or answer it once its body is in. False while it waits for bytes.
+        At end of stream each part ends with what there is; once ``expired``,
+        a request short of its bytes ends the connection (a 408 mid-body)."""
+        if self.body_end is None:
+            return self._frame_head(expired)
+        if len(self.data) < self.body_end and not self.eof:
+            if not expired:
+                return False
+            self._reply(408, {"error": "timed out reading the request body"}, close=True)
+        else:
+            self._respond(self.data[self.start:self.body_end])
+        self.closing = self.close
+        self._next_request(self.body_end)
+        return True
+
+    def _frame_head(self, expired: bool) -> bool:
+        while True:
+            end = self._line_end()
+            if end < 0:  # the line is not all in
+                if not expired:
+                    return False
+                log.debug("%s - request timed out", self.address[0])
+                self.closing = True
+                return True
+            if self.lines == 0:
+                if not self._parse_request_line(self.data[:end]):
+                    self.closing = True
+                    return True
+                self.start = end
+            elif (end - self.line > _MAX_LINE or self.lines > _MAX_HEADERS
+                  or self.data[self.line:end] in (b"\r\n", b"\n", b"")):
+                self.closing = not self._parse_head(end)
+                return True
+            self.lines += 1
+            self.line = end
+
+    def _line_end(self) -> int:
+        """Where the line at ``line`` ends as ``readline(_MAX_LINE + 1)``
+        reads it: after its LF, at the limit or at end of stream; -1 while
+        it is not all in."""
+        stop = self.line + _MAX_LINE + 1
+        end = self.data.find(b"\n", self.scanned, stop)
+        if end >= 0:
+            self.scanned = end + 1
+            return self.scanned
+        self.scanned = min(len(self.data), stop)
+        return self.scanned if self.scanned == stop or self.eof else -1
+
+    def _parse_request_line(self, raw: bytearray) -> bool:
+        """The stdlib's checks of a request line (``handle_one_request``,
+        ``parse_request``). False once it is refused, or when it is blank
+        or the stream has ended, which closes the connection unanswered."""
+        self.command, self.version, self.close = None, "HTTP/0.9", True
+        if len(raw) > _MAX_LINE:
+            self.requestline = self.version = self.command = ""
+            return self._refuse(414)
+        self.requestline = str(raw, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
         if not words:
             return False
@@ -187,114 +188,62 @@ class _Handler(BaseHTTPRequestHandler):
             number = version[5:].split(".") if version.startswith("HTTP/") else ()
             if len(number) != 2 or not all(n.isascii() and n.isdigit() and len(n) <= 10
                                            for n in number):
-                self.send_error(400, f"Bad request version ({version!r})")
-                return False
+                return self._refuse(400, f"Bad request version ({version!r})")
             number = int(number[0]), int(number[1])
             if number >= (1, 1):
-                self.close_connection = False
+                self.close = False
             if number >= (2, 0):
-                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
-                return False
-            self.request_version = version
+                return self._refuse(505, f"Invalid HTTP version ({version[5:]})")
+            self.version = version
         if not 2 <= len(words) <= 3:
-            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
-            return False
+            return self._refuse(400, f"Bad request syntax ({self.requestline!r})")
         command, path = words[:2]
         if len(words) == 2:
-            self.close_connection = True
+            self.close = True
             if command != "GET":
-                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
-                return False
-        self.command, self.path = command, path
-        if path.startswith("//"):
-            self.path = "/" + path.lstrip("/")
-        try:
-            self.headers = _read_headers(self.rfile)
-        except _RefusedHeaders as err:
-            self.send_error(*err.args)
-            return False
-        connection = self.headers.get("connection", "").rstrip(" \t").lower()  # RFC 9110 5.5
-        if connection in ("close", "keep-alive"):
-            self.close_connection = connection == "close"
-        if (self.headers.get("expect", "").rstrip(" \t").lower() == "100-continue"
-                and self.request_version >= "HTTP/1.1"):
-            return self.handle_expect_100()
+                return self._refuse(400, f"Bad HTTP/0.9 request type ({command!r})")
+        self.command = command
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
         return True
 
-    def _reply(self, status: int, body: dict, close: bool = False):
-        """Send status line, headers and body in one socket write.
-
-        Writing the body separately after the headers makes the second
-        small segment wait for the peer's delayed ACK (Nagle's algorithm),
-        about 40 ms per reply on a keep-alive connection.
-        """
-        blob = json.dumps(body).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        if close:  # also sets close_connection
-            self.send_header("Connection", "close")
-        if self.request_version == "HTTP/0.9":  # no status line, no headers
-            self.wfile.write(blob)
-            return
-        if self.command == "HEAD":  # headers only
-            blob = b""
-        self._headers_buffer.append(b"\r\n" + blob)
-        self.flush_headers()
-
-    def _read_body(self) -> bytes | None:
-        """The request body, or None after replying with an error.
-
-        An error reply closes the connection: the unread body would
-        otherwise be parsed as the next request. A body framed by
-        ``Transfer-Encoding`` (chunked) is not supported: 501, unread.
-        """
-        if "transfer-encoding" in self.headers:
-            self._reply(501, {"error": "Transfer-Encoding is not supported; "
-                                       "send a Content-Length"}, close=True)
-            return None
-        text = self.headers.get("content-length", "0").strip()
+    def _parse_head(self, end: int) -> bool:
+        """The header block ends at ``end``: True to wait for the body, False
+        once the request is refused. An error reply closes the connection:
+        the unread body would otherwise be parsed as the next request. A body
+        framed by ``Transfer-Encoding`` (chunked) is not supported: 501."""
+        try:
+            headers = _read_headers(io.BytesIO(self.data[self.start:end]))
+        except _RefusedHeaders as err:
+            return self._refuse(*err.args)
+        connection = headers.get("connection", "").rstrip(" \t").lower()  # RFC 9110 5.5
+        if connection in ("close", "keep-alive"):
+            self.close = connection == "close"
+        if (headers.get("expect", "").rstrip(" \t").lower() == "100-continue"
+                and self.version >= "HTTP/1.1"):
+            self.out += b"HTTP/1.1 100 Continue\r\n\r\n"
+        if self.command not in ("GET", "POST"):
+            return self._refuse(501, f"Unsupported method ({self.command!r})")
+        if self.command == "POST" and self.path != "/v1/price":
+            return self._refuse(404, "not found")
+        if "transfer-encoding" in headers:
+            return self._refuse(501, "Transfer-Encoding is not supported; send a Content-Length")
+        text = headers.get("content-length", "0").strip()
         if not (text.isascii() and text.isdigit()):
-            self._reply(400, {"error": f"bad Content-Length: {text!r}"}, close=True)
-            return None
-        length = int(text)
-        if length > MAX_BODY_BYTES:
-            self._reply(413, {"error": f"body over {MAX_BODY_BYTES} bytes"}, close=True)
-            return None
-        try:
-            return self.rfile.read(length)
-        except TimeoutError:
-            self._reply(408, {"error": "timed out reading the request body"}, close=True)
-            return None
+            return self._refuse(400, f"bad Content-Length: {text!r}")
+        if int(text) > MAX_BODY_BYTES:
+            return self._refuse(413, f"body over {MAX_BODY_BYTES} bytes")
+        self.start, self.body_end = end, end + int(text)
+        return True
 
-    def send_error(self, code, message=None, explain=None):
-        """Errors the stdlib detects itself (an unsupported method, a
-        malformed request line, an over-long line or header) as JSON in one
-        write through ``_reply``, closing the connection as the stdlib does;
-        HTTP/0.9 still gets a bare body. Every such code (400, 414, 431, 501,
-        505) carries a body.
-        """
-        short = self.responses.get(code, ("???",))[0]
-        message = short if message is None else message
-        self.log_error("code %d, message %s", code, message)
-        self._reply(code, {"error": message}, close=True)
-
-    def do_GET(self):
-        if self._read_body() is None:  # a body left unread would start the next request
-            return
-        if self.path == "/healthz":
-            self._reply(200, {"status": "ok"})
-        else:
-            self._reply(404, {"error": "not found"})
-
-    def do_POST(self):
-        if self.path != "/v1/price":  # body left unread, so close
-            self._reply(404, {"error": "not found"}, close=True)
+    def _respond(self, raw: bytearray) -> None:
+        """Answer the request whose body is ``raw``."""
+        if self.command == "GET":
+            if self.path == "/healthz":
+                self._reply(200, {"status": "ok"})
+            else:
+                self._reply(404, {"error": "not found"})
             return
         try:
-            raw = self._read_body()
-            if raw is None:
-                return
             try:
                 obj = json.loads(raw.decode("utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -305,10 +254,10 @@ class _Handler(BaseHTTPRequestHandler):
             except ParseError as exc:
                 self._reply(422, {"error": exc.reason})
                 return
-            policy: PricingPolicy = self.server.policy
+            policy: PricingPolicy = self.service.policy
             try:
-                self._rng.bit_generator.state = _SEED0_STATE
-                quote = policy.quote(session, self._rng)
+                self.rng.bit_generator.state = _SEED0_STATE
+                quote = policy.quote(session, self.rng)
             except (SchemaMismatch, NonFiniteInput) as exc:
                 self._reply(422, {"error": str(exc)})
                 return
@@ -316,30 +265,32 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception:
             error_id = uuid.uuid4().hex
             log.exception("request %s failed", error_id)
-            try:
-                self._reply(500, {"error": "internal error", "error_id": error_id})
-            except Exception:
-                pass
+            self._reply(500, {"error": "internal error", "error_id": error_id})
 
-    def log_request(self, code="-", size="-"):
-        if log.isEnabledFor(logging.DEBUG):  # else the line would be formatted, then dropped
-            super().log_request(code, size)
+    def _refuse(self, status: int, message: str | None = None) -> bool:
+        """A JSON error that closes the connection; False."""
+        self._reply(status, {"error": message or HTTPStatus(status).phrase}, close=True)
+        return False
 
-    def log_message(self, fmt, *args):
-        log.debug("%s - %s", self.address_string(), fmt % args)
+    def _reply(self, status: int, body: dict, close: bool = False) -> None:
+        """Queue status line, headers and body to go out in one socket write.
 
-
-class _Connection:
-    """A socket, its handler, the reply bytes not yet sent, the bytes of the
-    current request's replies already queued (a 100 Continue, skipped when
-    the request runs again), and when it is closed if no progress is made."""
-
-    __slots__ = ("sock", "handler", "out", "queued", "closing", "deadline")
-
-    def __init__(self, sock: socket.socket, handler: _Handler):
-        self.sock, self.handler = sock, handler
-        self.out, self.queued, self.closing = bytearray(), 0, False
-        self.deadline = time.monotonic() + handler.timeout
+        Writing the body separately after the headers makes the second
+        small segment wait for the peer's delayed ACK (Nagle's algorithm),
+        about 40 ms per reply on a keep-alive connection.
+        """
+        log.debug('%s - "%s" %d', self.address[0], self.requestline, status)
+        blob = json.dumps(body).encode()
+        self.close |= close
+        if self.version == "HTTP/0.9":  # no status line, no headers
+            self.out += blob
+            return
+        connection = "Connection: close\r\n" if close else ""
+        self.out += (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nServer: {_SERVER}\r\n"
+                     f"Date: {formatdate(usegmt=True)}\r\nContent-Type: application/json\r\n"
+                     f"Content-Length: {len(blob)}\r\n{connection}\r\n").encode("latin-1")
+        if self.command != "HEAD":  # headers only
+            self.out += blob
 
 
 class PricingService:
@@ -399,7 +350,7 @@ class PricingService:
         try:
             step(conn)
         except Exception:  # one connection's fault must not stop the loop
-            log.exception("connection from %s failed", conn.handler.address_string())
+            log.exception("connection from %s failed", conn.address[0])
             self._close(conn)
 
     def _accept(self) -> None:
@@ -408,8 +359,7 @@ class PricingService:
         except OSError:  # the peer gave up, or no descriptor is left: try at the next event
             return
         sock.setblocking(False)
-        conn = _Connection(sock, _Handler(address, self))
-        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._selector.register(sock, selectors.EVENT_READ, _Connection(sock, address, self))
 
     def _receive(self, conn: _Connection) -> None:
         try:
@@ -420,9 +370,9 @@ class PricingService:
             self._close(conn)
             return
         if data:
-            conn.handler.rfile.data += data
+            conn.data += data
         else:
-            conn.handler.rfile.eof = True
+            conn.eof = True
         self._answer(conn)
 
     def _send(self, conn: _Connection) -> None:
@@ -430,34 +380,17 @@ class PricingService:
             self._answer(conn)
 
     def _expire(self, conn: _Connection) -> None:
-        """Past the deadline: a request short of its bytes is run again, for
-        the handler to answer the TimeoutError; replies not read, closed."""
+        """Past the deadline: a request short of its bytes is ended (see
+        ``_Connection.frame``); a connection whose replies are not read, closed."""
         if conn.out or conn.closing:
             self._close(conn)
         else:
-            conn.handler.rfile.expired = True
-            self._answer(conn)
+            self._answer(conn, expired=True)
 
-    def _answer(self, conn: _Connection) -> None:
-        """Run the handler on each request that may be complete, in order,
-        while every reply so far has gone out; then wait for what is next."""
-        handler, rfile, wfile = conn.handler, conn.handler.rfile, conn.handler.wfile
-        while not conn.out and not conn.closing and rfile.ready():
-            rfile.pos = rfile.lines = 0
-            try:
-                handler.handle_one_request()
-                done = True
-            except _NeedMore:
-                done = False
-            written = wfile.getvalue()
-            wfile.seek(0)
-            wfile.truncate()
-            conn.out += written[conn.queued:]
-            if done:
-                conn.queued, conn.closing = 0, handler.close_connection
-                rfile.next_request()
-            else:
-                conn.queued = len(written)
+    def _answer(self, conn: _Connection, expired: bool = False) -> None:
+        """Frame and answer the requests received, in order, while every
+        reply so far has gone out; then wait for what is next."""
+        while not conn.out and not conn.closing and conn.frame(expired):
             if conn.out and not self._flush(conn):
                 return
         if conn.closing and not conn.out:
@@ -466,7 +399,7 @@ class PricingService:
         events = selectors.EVENT_WRITE if conn.out else selectors.EVENT_READ
         if self._selector.get_key(conn.sock).events != events:
             self._selector.modify(conn.sock, events, conn)
-        conn.deadline = time.monotonic() + handler.timeout
+        conn.deadline = time.monotonic() + CONNECTION_TIMEOUT_S
 
     def _flush(self, conn: _Connection) -> bool:
         """Send what the socket takes now; False if that closed the connection."""

@@ -289,9 +289,10 @@ def test_serve_env_var_overrides_addr_flag(workdir, monkeypatch):
                 "--addr", "127.0.0.1:0"]) == 2
 
 
-def test_serve_exits_promptly_on_sigint(workdir):
-    """With a keep-alive connection open and idle, SIGINT ends ``serve``
-    with exit 0 well inside the connection's 30 s deadline."""
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_serve_exits_promptly_on_sigint(workdir, signum):
+    """With a keep-alive connection open and idle, SIGINT or SIGTERM ends
+    ``serve`` with exit 0 well inside the connection's 30 s deadline."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "ancillary_pricing.cli", "serve",
@@ -303,7 +304,7 @@ def test_serve_exits_promptly_on_sigint(workdir):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
             assert sock.recv(4096).startswith(b"HTTP/1.1 200 ")
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             _, err = proc.communicate(timeout=5)
         assert proc.returncode == 0, err.decode()
     finally:
@@ -559,6 +560,21 @@ def test_batch_commands_do_not_load_the_http_stack(tmp_path):
         [sys.executable, "-c", script, str(cfg_path), str(tmp_path / "o.json"), *http_stack],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_service_does_not_load_the_stdlib_http_server():
+    """The service frames requests itself: importing it loads neither
+    ``http.server`` nor what that imports. Checked in a fresh interpreter."""
+    script = ("import sys\n"
+              "import ancillary_pricing.service\n"
+              "print([m for m in sys.argv[1:] if m in sys.modules])\n")
+    stdlib_server = ["http.server", "http.client", "socketserver", "email.parser", "mimetypes"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script, *stdlib_server],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 

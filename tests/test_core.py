@@ -22,6 +22,19 @@ from ancillary_pricing.errors import (
 )
 
 
+def column_names(schema) -> list[str]:
+    """The name of each column ``encode`` writes, in order."""
+    cols: list[str] = []
+    for f in schema.numeric:
+        cols.append(f.name)
+        if f.optional:
+            cols.append(f"{f.name}__missing")
+    for f in schema.categorical:
+        cols.extend(f"{f.name}={lvl}" for lvl in f.levels)
+        cols.append(f"{f.name}=<unknown>")
+    return cols
+
+
 class TestFitSchema:
     def test_two_point_stats(self, make_session):
         sessions = [make_session(days_to_departure=1), make_session(days_to_departure=3)]
@@ -43,7 +56,7 @@ class TestFitSchema:
         feat = next(f for f in schema.categorical if f.name == "booking_class")
         assert feat.levels == ("A", "B")
         # 3 one-hot columns: A, B, unknown
-        assert sum(1 for c in schema.column_names() if c.startswith("booking_class=")) == 3
+        assert sum(1 for c in column_names(schema) if c.startswith("booking_class=")) == 3
 
     def test_too_few_sessions(self, make_session):
         with pytest.raises(EmptyDataset):
@@ -75,7 +88,7 @@ class TestEncode:
         sessions = [make_session(days_to_departure=1, booking_class="A"),
                     make_session(days_to_departure=3, booking_class="B")]
         schema = fit_schema(sessions)
-        cols = schema.column_names()
+        cols = column_names(schema)
         vec = encode(make_session(booking_class="Z"), schema)
         assert vec[cols.index("booking_class=A")] == 0.0
         assert vec[cols.index("booking_class=B")] == 0.0
@@ -95,7 +108,7 @@ class TestEncode:
                     make_session(days_to_departure=3, extra_features={"pop": 3.0}),
                     make_session(days_to_departure=5)]
         schema = fit_schema(sessions)
-        cols = schema.column_names()
+        cols = column_names(schema)
         assert "pop__missing" in cols
         vec = encode(make_session(), schema)
         assert vec[cols.index("pop")] == 0.0

@@ -32,7 +32,7 @@ from ancillary_pricing.pricing_net import DnnClModel
 from ancillary_pricing.service import (
     MAX_BODY_BYTES,
     PricingService,
-    _Handler,
+    _Connection,
     _read_headers,
     _RefusedHeaders,
 )
@@ -198,7 +198,7 @@ def test_oversized_body_is_refused_unread(service):
 
 def test_short_body_times_out_without_wedging(service, monkeypatch):
     svc, _ = service
-    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    monkeypatch.setattr("ancillary_pricing.service.CONNECTION_TIMEOUT_S", 0.5)
     with socket.create_connection(svc.address, timeout=10) as sock:
         sock.sendall(b"POST /v1/price HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"a\"")
         t0 = time.perf_counter()
@@ -581,24 +581,33 @@ def test_a_peer_that_never_reads_holds_up_no_other(service):
         assert time.perf_counter() - t0 < 2
 
 
-def test_trickled_request_is_parsed_a_bounded_number_of_times(service, monkeypatch):
+@pytest.mark.parametrize("expect", [b"", b"Expect: 100-continue\r\n"],
+                         ids=["plain", "expect-continue"])
+def test_trickled_request_is_answered_once(service, monkeypatch, expect):
     svc, _ = service
     calls = []
-    handle = _Handler.handle_one_request
+    respond = _Connection._respond
 
-    def counted(self):
-        calls.append(self.client_address)
-        handle(self)
+    def counted(self, raw):
+        calls.append(self.address)
+        respond(self, raw)
 
-    monkeypatch.setattr(_Handler, "handle_one_request", counted)
+    monkeypatch.setattr(_Connection, "_respond", counted)
+    request = _price_request(_sample_request()).replace(b"\r\n", b"\r\n" + expect, 1)
     with socket.create_connection(svc.address, timeout=10) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        for byte in _price_request(_sample_request()):
+        for byte in request:
             sock.sendall(bytes([byte]))
             time.sleep(0.0005)
-        assert _read_replies(sock, 1)[0][0] == 200
-        # Once each for the request line, the header block and the body.
-        assert calls.count(sock.getsockname()) <= 3
+        sock.shutdown(socket.SHUT_WR)
+        replies = sock.makefile("rb")
+        if expect:
+            assert replies.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert replies.readline() == b"\r\n"
+        assert replies.readline().startswith(b"HTTP/1.1 200 ")
+        replies.read(int(http.client.parse_headers(replies)["Content-Length"]))
+        assert replies.read() == b""  # nothing more before the server closes
+        assert calls.count(sock.getsockname()) == 1
 
 
 def test_keepalive_connections_start_no_threads(service):
@@ -635,7 +644,7 @@ def test_peer_reset_mid_pipeline_is_closed_quietly(service, caplog):
 
 def test_a_handler_fault_closes_only_its_connection(service, monkeypatch):
     svc, _ = service
-    monkeypatch.setattr(_Handler, "do_GET", lambda self: 1 / 0)
+    monkeypatch.setattr(_Connection, "_respond", lambda self, raw: 1 / 0)
     with socket.create_connection(svc.address, timeout=10) as sock:
         sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
         assert sock.recv(1024) == b""
@@ -732,6 +741,7 @@ def _wire_table(bundle) -> list[tuple[str, bytes, bytes, bool, bytes]]:
         ("healthz-http10", b"GET /healthz HTTP/1.0\r\n\r\n", healthz, True, b""),
         ("healthz-http10-keep-alive", b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
          healthz, False, b""),
+        ("healthz-lf", b"GET /healthz HTTP/1.1\nHost: x\n\n", healthz, False, b""),
         ("healthz-http1.10", b"GET /healthz HTTP/1.10\r\n\r\n", healthz, False, b""),
         ("get-too-large-body", get + b"Content-Length: 65537\r\n\r\n",
          _error(413, "body over 65536 bytes", close=True), True, b""),
@@ -764,6 +774,8 @@ def _wire_table(bundle) -> list[tuple[str, bytes, bytes, bool, bytes]]:
          _error(431, "Too many headers", close=True), True, b""),
         ("101-headers", get + b"X-A: b\r\n" * 101,
          _error(431, "Too many headers", close=True), True, b""),
+        ("100-headers-cut", get + b"X-A: b\r\n" * 100, b"", False,
+         _error(431, "Too many headers", close=True)),
         ("expect-continue", post(body, b"Expect: 100-continue\r\n"), _CONTINUE + ok, False, b""),
         ("expect-continue-http10", post(body, b"Expect: 100-continue\r\n", b"HTTP/1.0"), ok,
          True, b""),
