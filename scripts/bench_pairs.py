@@ -20,7 +20,9 @@ meant to be bit-identical shows it from the same runs.
 A gain counts when the change wins at least nine tenths of the pairs and
 the medians differ by more than the parent's interquartile range; each
 metric records whether that holds. ``--claim`` names the metric the change
-claims, and is recorded as the file's ``claim``. Stdlib only.
+claims, and is recorded as the file's ``claim``; when the file already
+claims another workload, the script exits with status 2 before any run and
+leaves the file as it is. Stdlib only.
 """
 
 from __future__ import annotations
@@ -124,6 +126,12 @@ def main() -> None:
     parser.add_argument("--claim", default=None, help="the end-to-end metric claimed")
     args = parser.parse_args()
 
+    out_path = ROOT / f"BENCH_{args.pr}.json"
+    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
+    claimed = doc.get("claim")
+    if args.claim and claimed and claimed["workload"] != args.workload:
+        parser.error(f"{out_path.name} already claims {claimed['metric']} on "
+                     f"{claimed['workload']}; a claim on {args.workload} would replace it")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     seeds = parse_seeds(args.seeds)
@@ -140,8 +148,6 @@ def main() -> None:
             values = {n: round(m["value"], 4) for n, m in result["metrics"].items()}
             print(f"pair {k + 1}/{pairs} seed {seed} {side}: {values}", flush=True)
 
-    out_path = ROOT / f"BENCH_{args.pr}.json"
-    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
     doc.update({
         "harness": "python3 perfbench/run.py --workload <w> --seed <s> "
                    f"--seconds {seconds:g} --trace 0|1",

@@ -99,21 +99,28 @@ def _forward_cached(model: MlpModel, inputs: np.ndarray, *, dropout_rate: float 
                     rng: np.random.Generator | None = None):
     """All layer activations plus the dropout masks actually applied.
 
-    Hidden activations are stored post-dropout (inverted scaling folded in),
-    so they are exactly what the next layer consumed.
+    Each layer allocates one array, the one its matmul returns, and writes
+    into it in turn: the bias, then the rectifier (at the output, the
+    sigmoid reads it) and, in training, the dropout mask. These are the
+    operations of ``maximum(a @ w + b, 0) * mask`` on the same operands, so
+    the bits are the same, without a new array per step: a 256-session
+    block's would be past malloc's mmap threshold, and faulted in afresh.
+    Hidden activations are stored post-dropout (inverted scaling folded
+    in), so they are exactly what the next layer consumed.
     """
     a = inputs
     activations = [a]
     masks: list[np.ndarray | None] = []
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b
         if layer < model.n_layers - 1:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
             mask = None
             if dropout_rate > 0.0:
                 keep = rng.random(a.shape) >= dropout_rate
                 mask = keep / (1.0 - dropout_rate)  # inverted dropout scaling
-                a = a * mask
+                a *= mask
             masks.append(mask)
         else:
             a = sigmoid(z, 1e-12)

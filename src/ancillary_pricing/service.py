@@ -210,17 +210,16 @@ class _Connection:
         """The header block ends at ``end``: True to wait for the body, False
         once the request is refused. An error reply closes the connection:
         the unread body would otherwise be parsed as the next request. A body
-        framed by ``Transfer-Encoding`` (chunked) is not supported: 501."""
+        framed by ``Transfer-Encoding`` (chunked) is not supported: 501. A
+        100 Continue is sent only for a body that will be read (RFC 9110
+        section 10.1.1), and HTTP/0.9, whose reply only a close ends, closes."""
         try:
             headers = _read_headers(io.BytesIO(self.data[self.start:end]))
         except _RefusedHeaders as err:
             return self._refuse(*err.args)
         connection = headers.get("connection", "").rstrip(" \t").lower()  # RFC 9110 5.5
-        if connection in ("close", "keep-alive"):
+        if connection in ("close", "keep-alive") and self.version != "HTTP/0.9":
             self.close = connection == "close"
-        if (headers.get("expect", "").rstrip(" \t").lower() == "100-continue"
-                and self.version >= "HTTP/1.1"):
-            self.out += b"HTTP/1.1 100 Continue\r\n\r\n"
         if self.command not in ("GET", "POST"):
             return self._refuse(501, f"Unsupported method ({self.command!r})")
         if self.command == "POST" and self.path != "/v1/price":
@@ -232,6 +231,9 @@ class _Connection:
             return self._refuse(400, f"bad Content-Length: {text!r}")
         if int(text) > MAX_BODY_BYTES:
             return self._refuse(413, f"body over {MAX_BODY_BYTES} bytes")
+        if (headers.get("expect", "").rstrip(" \t").lower() == "100-continue"
+                and self.version >= "HTTP/1.1"):
+            self.out += b"HTTP/1.1 100 Continue\r\n\r\n"
         self.start, self.body_end = end, end + int(text)
         return True
 

@@ -1,15 +1,19 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ancillary_pricing.core import EncodedDataset, PriceGrid
+from ancillary_pricing.core import EncodedDataset, PriceGrid, grid_rows, sigmoid
 from ancillary_pricing.errors import BadArchitecture, DimensionMismatch, SingleClassDataset
 from ancillary_pricing.metrics import auc_roc
 from ancillary_pricing.mlp import (
     MlpDemandModel,
     TrainConfig,
+    _backward,
     _loss_and_grads,
     forward,
     grad_check,
@@ -111,6 +115,89 @@ class TestDropout:
                                         rng=np.random.default_rng(0))
         plain, _, _ = _loss_and_grads(m, x, loss_fn)
         assert dropped[0] != plain[0]
+
+
+def _oracle_forward_cached(model, inputs, dropout_rate=0.0, rng=None):
+    """``mlp._forward_cached`` as each layer's expression allocated it, a new
+    array per step: ``maximum(a @ w + b, 0)``, then ``a * mask``."""
+    a = inputs
+    activations, masks = [a], []
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w + b
+        if layer < model.n_layers - 1:
+            a = np.maximum(z, 0.0)
+            mask = None
+            if dropout_rate > 0.0:
+                keep = rng.random(a.shape) >= dropout_rate
+                mask = keep / (1.0 - dropout_rate)
+                a = a * mask
+            masks.append(mask)
+        else:
+            a = sigmoid(z, 1e-12)
+        activations.append(a)
+    return activations, masks
+
+
+def _grid_stack(n: int, g: int, d: int, seed: int) -> np.ndarray:
+    """An (n, g, d+1) stack laid out as ``grid_rows`` lays out a block."""
+    rng = np.random.default_rng(seed)
+    return grid_rows(rng.normal(size=(n, d)), np.linspace(0.6, 1.0, g))
+
+
+_HIDDEN = st.lists(st.integers(1, 40), min_size=1, max_size=3)
+
+
+class TestInPlaceLayers:
+    """Each layer writes into its matmul's output; the bits are the oracle's."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 43, 256]), g=st.integers(1, 11), d=st.integers(1, 12),
+           hidden=_HIDDEN, seed=st.integers(0, 2**16))
+    def test_forward_equals_the_oracle_bytes(self, n, g, d, hidden, seed):
+        model = init_mlp([d + 1, *hidden, 1], seed=seed)
+        stack = _grid_stack(n, g, d, seed)
+        expected = _oracle_forward_cached(model, stack)[0][-1][..., 0]
+        assert forward(model, stack).tobytes() == expected.tobytes()
+        rows = stack[:, 0, :]  # one row per session, as training feeds it
+        assert forward(model, rows).tobytes() == _oracle_forward_cached(
+            model, rows)[0][-1][..., 0].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 43, 256]), d=st.integers(1, 12), hidden=_HIDDEN,
+           seed=st.integers(0, 2**16), dropout=st.sampled_from([0.0, 0.5]))
+    def test_loss_and_grads_equal_the_oracle_bytes(self, n, d, hidden, seed, dropout):
+        model = init_mlp([d, *hidden, 1], seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        labels = rng.integers(0, 2, size=n).astype(float)
+
+        def loss_fn(out):
+            return weighted_ce_loss(out, labels, 2.5)
+
+        loss, grads_w, grads_b = _loss_and_grads(
+            model, x, loss_fn, dropout_rate=dropout, rng=np.random.default_rng([seed, 1]))
+        acts, masks = _oracle_forward_cached(model, x, dropout,
+                                             np.random.default_rng([seed, 1]))
+        want_loss, dloss_dout = loss_fn(acts[-1][:, 0])
+        want_w, want_b = _backward(model, acts, masks, np.asarray(dloss_dout) / n)
+        assert loss.tobytes() == want_loss.tobytes()
+        for got, want in zip([*grads_w, *grads_b], [*want_w, *want_b]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_block_forward_allocates_each_layer_once(self):
+        """A (256, 11, d+1) block peaks at its layer outputs plus at most a
+        quarter more: one array per layer, no temporaries of the same size."""
+        model = init_mlp([21, 64, 32, 1], seed=0)
+        stack = _grid_stack(256, 11, 20, seed=0)
+        forward(model, stack)  # any one-time allocation happens outside the trace
+        layer_bytes = sum(256 * 11 * size * 8 for size in model.sizes[1:])
+        tracemalloc.start()
+        try:
+            forward(model, stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * layer_bytes, peak / layer_bytes
 
 
 class TestWeightedCeLoss:

@@ -751,7 +751,7 @@ def _wire_table(bundle) -> list[tuple[str, bytes, bytes, bool, bytes]]:
          _error(501, "Unsupported method ('HEAD')", close=True, head=True), True, b""),
         ("http09", b"GET /healthz\r\n\r\n", _bare({"status": "ok"}), True, b""),
         ("http09-keep-alive", b"GET /healthz\r\nConnection: keep-alive\r\n\r\n",
-         _bare({"status": "ok"}), False, b""),
+         _bare({"status": "ok"}), True, b""),
         ("http09-not-found", b"GET /nope\r\n\r\n", _bare({"error": "not found"}), True, b""),
         ("http09-post", b"POST /v1/price\r\n",
          _bare({"error": "Bad HTTP/0.9 request type ('POST')"}), True, b""),
@@ -784,7 +784,13 @@ def _wire_table(bundle) -> list[tuple[str, bytes, bytes, bool, bytes]]:
          _CONTINUE, False, empty),
         ("expect-continue-put",
          b"PUT /v1/price HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 0\r\n\r\n",
-         _CONTINUE + _error(501, "Unsupported method ('PUT')", close=True), True, b""),
+         _error(501, "Unsupported method ('PUT')", close=True), True, b""),
+        ("expect-continue-not-found",
+         b"POST /v2/price HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n",
+         _error(404, "not found", close=True), True, b""),
+        ("expect-continue-too-large",
+         b"POST /v1/price HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 65537\r\n\r\n",
+         _error(413, "body over 65536 bytes", close=True), True, b""),
         ("pipeline", get + b"\r\n" + post(body) + b"GET /nope HTTP/1.1\r\n\r\n",
          healthz + ok + not_found, False, b""),
         ("pipeline-http10-first", b"GET /healthz HTTP/1.0\r\n\r\n" + get + b"\r\n", healthz,
