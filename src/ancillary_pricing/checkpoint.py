@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from .policies import (
 from .pricing_net import DnnClModel
 
 FORMAT_VERSION = 1
+# A file as save_checkpoint writes it, with its spaces and newlines removed.
+_SAVED = re.compile(rb'\{"checksum":"([0-9a-f]{64})",(.*)', re.DOTALL)
 # The one place that maps a checkpoint's model type to the class of its model.
 MODEL_CLASSES = {"gnb": GnbModel, "gnbc": GnbcModel, "app_dnn": MlpDemandModel,
                  "dnn_cl": DnnClModel}
@@ -81,6 +84,18 @@ def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _parse(raw: bytes) -> dict:
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ChecksumMismatch(f"checkpoint is not valid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ChecksumMismatch(f"checkpoint is not UTF-8: {exc.reason}") from exc
+    if not isinstance(doc, dict):
+        raise ChecksumMismatch("checkpoint is not a JSON object")
+    return doc
+
+
 def save_checkpoint(bundle: PricingBundle, path: str | Path) -> str:
     """Write the bundle to disk; returns the content checksum."""
     hyper = {key: to_doc(value) for key, value in
@@ -103,28 +118,43 @@ def save_checkpoint(bundle: PricingBundle, path: str | Path) -> str:
     return checksum
 
 
+def _as_saved(raw: bytes) -> tuple[dict, str] | None:
+    """The payload and checksum of ``raw`` when, without its spaces and
+    newlines, it is a checksum that verifies followed by the bytes it covers."""
+    saved = _SAVED.fullmatch(raw.translate(None, b" \n"))
+    if saved is None:
+        return None
+    stored, body = saved[1].decode(), b"{" + saved[2]
+    if hashlib.sha256(body).hexdigest() != stored:
+        return None
+    return _parse(body), stored
+
+
 def load_checkpoint(path: str | Path) -> PricingBundle:
     """Read and verify a checkpoint; predictions match the saved model exactly.
+
+    The checksum is the SHA-256 of the payload's canonical JSON
+    (``_canonical``). A file in ``save_checkpoint``'s layout is checked
+    over its own bytes with every space and newline removed, and the
+    payload is parsed from the bytes checked. So when no string holds a
+    space, an edit that only adds or removes spaces or newlines loads the
+    saved bundle. Any other file is parsed first, and its payload
+    re-serialised to check it.
 
     A document that verifies but does not decode into a valid bundle (a
     missing key, a value of the wrong kind or one its class refuses)
     raises ``ConfigError``.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ChecksumMismatch(f"checkpoint is not valid JSON: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ChecksumMismatch(f"checkpoint is not UTF-8: {exc.reason}") from exc
-    if not isinstance(doc, dict):
-        raise ChecksumMismatch("checkpoint is not a JSON object")
+    raw = Path(path).read_bytes()
+    doc, actual = _as_saved(raw) or (_parse(raw), None)
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"checkpoint format {version!r}, expected {FORMAT_VERSION}")
-    stored = doc.pop("checksum", None)
-    actual = hashlib.sha256(_canonical(doc).encode()).hexdigest()
-    if stored != actual:
-        raise ChecksumMismatch("checkpoint checksum does not match its contents")
+    if actual is None:
+        stored = doc.pop("checksum", None)
+        actual = hashlib.sha256(_canonical(doc).encode()).hexdigest()
+        if stored != actual:
+            raise ChecksumMismatch("checkpoint checksum does not match its contents")
 
     try:
         model_type = doc["model_type"]

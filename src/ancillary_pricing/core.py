@@ -155,6 +155,10 @@ class NumericFeature:
     std: float
     optional: bool  # optional features carry an extra missing-flag column
 
+    def __post_init__(self):
+        check_finite_fields(self, ("mean",))
+        require_positive("std", self.std)
+
 
 @dataclass(frozen=True)
 class CategoricalFeature:
@@ -297,12 +301,16 @@ def fit_schema(sessions: Sequence[SessionRecord]) -> EncodingSchema:
         present = [float(v) for v in raw if v is not None]
         if not present:
             continue
-        mean = float(np.mean(present))
-        std = float(np.std(present))
+        with np.errstate(over="ignore", invalid="ignore"):  # NumericFeature refuses the result
+            mean = float(np.mean(present))
+            std = float(np.std(present))
         if std == 0.0:
             continue  # zero-variance feature carries no signal
         optional = len(present) < len(raw)
-        numeric.append(NumericFeature(name=name, mean=mean, std=std, optional=optional))
+        try:
+            numeric.append(NumericFeature(name=name, mean=mean, std=std, optional=optional))
+        except ValueError as exc:
+            raise NonFiniteInput(f"feature {name!r}: {exc}") from None
 
     if not numeric:
         raise AllFeaturesDegenerate("every numeric feature is constant")

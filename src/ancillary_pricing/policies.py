@@ -312,7 +312,7 @@ class EpsilonGreedyPolicy:
 
     def quote_batch(self, sessions, rngs) -> list[Quote]:
         # Per stream the draws come in this order: u, then explore's, then exploit's.
-        us = [float(rng.uniform()) for rng in rngs]
+        us = [rng.random() for rng in rngs]
         explore = quote_all(self.explore, sessions, rngs)
         exploit = quote_all(self.exploit, sessions, rngs)
         return [self._choose(*args) for args in zip(us, explore, exploit)]

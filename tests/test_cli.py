@@ -883,6 +883,48 @@ def test_checkpoint_whose_schema_and_model_disagree_is_data_error(workdir, tmp_p
     assert len(err) == 2 and all(line.startswith("error:") and "schema" in line for line in err)
 
 
+@pytest.mark.parametrize("key,value", [("std", 0.0), ("std", -1.0), ("std", float("inf")),
+                                       ("mean", float("nan"))],
+                         ids=["std-zero", "std-negative", "std-infinite", "mean-nan"])
+def test_checkpoint_whose_schema_scale_is_unusable_is_data_error(workdir, tmp_path,
+                                                                 monkeypatch, capsys,
+                                                                 key, value):
+    """A z-score the encoder cannot apply (a division by zero, or a sign or
+    a scale that silently garbles the feature) verifies but does not decode."""
+    from ancillary_pricing.service import PricingService
+
+    doc = json.loads((workdir / "gnb.ckpt.json").read_text())
+    doc["schema"]["numeric"][0][key] = value
+    ckpt = tmp_path / "scale.ckpt.json"
+    ckpt.write_text(json.dumps(_rehash(doc)))  # NaN, Infinity
+    monkeypatch.setattr(PricingService, "serve_forever", lambda self: self.shutdown())
+    session = json.dumps(session_to_dict(export_sessions(default_market_spec(), 1, seed=42)[0]))
+    assert cli(["recommend", "--ckpt", str(ckpt), "--session", session]) == 2
+    assert cli(["serve", "--ckpt", str(ckpt), "--addr", "127.0.0.1:0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error:") and "does not decode" in line and key in line
+               for line in err)
+
+
+def test_train_whose_feature_spread_overflows_is_data_error(workdir, tmp_path, capsys):
+    """A feature of +-1e200 has a finite mean but a variance no float holds:
+    one error line naming it, no numpy warning, no checkpoint."""
+    log = tmp_path / "huge.jsonl"
+    docs = [session_to_dict(s) for s in read_sessions(workdir / "train.jsonl")[:100]]
+    for k, doc in enumerate(docs):
+        doc["extra_features"]["route_popularity"] = 1e200 if k % 2 else -1e200
+    log.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    out = tmp_path / "m.ckpt.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli(["train", "--model", "gnb", "--data", str(log), "--out", str(out),
+                    "--grid", GRID_ARG]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'route_popularity'" in err[0]
+    assert not out.exists()
+
 # Values a config key may hold by mistake: any JSON value, weighted towards
 # bools, numeric strings, NaN, infinities, a number no float holds, a path no
 # file system takes, lists and objects.

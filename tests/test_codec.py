@@ -11,6 +11,7 @@ from ancillary_pricing.core import CategoricalFeature, EncodingSchema, NumericFe
 from ancillary_pricing.simulator import MarketSpec, SubMarket
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, width=64)
 names = st.text(max_size=8)
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -56,7 +57,7 @@ def market_specs(draw) -> MarketSpec:
 
 schemas = st.builds(
     EncodingSchema,
-    numeric=st.lists(st.builds(NumericFeature, names, finite, finite, st.booleans()),
+    numeric=st.lists(st.builds(NumericFeature, names, finite, positive, st.booleans()),
                      max_size=5).map(tuple),
     categorical=st.lists(st.builds(CategoricalFeature, names,
                                    st.lists(names, max_size=5).map(tuple)),
